@@ -20,8 +20,20 @@
 #include "obs/json.hpp"
 
 namespace blunt::exp {
+namespace {
 
-ShardLayout resolve_layout(const Experiment& e, const RunOptions& opts) {
+/// The resolved shard structure of a run: a pure function of (experiment,
+/// options), so a resumed run agrees with the interrupted one on the exact
+/// same shard space.
+struct ShardLayout {
+  std::int64_t trials = 0;
+  std::uint64_t seed = 0;
+  int shard_size = 0;
+  std::int64_t num_shards = 0;
+};
+
+[[nodiscard]] ShardLayout resolve_layout(const Experiment& e,
+                                         const RunOptions& opts) {
   ShardLayout l;
   l.trials = opts.trials >= 0 ? opts.trials : e.default_trials;
   if (e.resolve_trials) l.trials = e.resolve_trials(opts.trials);
@@ -33,8 +45,6 @@ ShardLayout resolve_layout(const Experiment& e, const RunOptions& opts) {
   l.num_shards = (l.trials + l.shard_size - 1) / l.shard_size;
   return l;
 }
-
-namespace {
 
 /// One shard, run on whichever worker claimed it. The result depends only on
 /// (experiment, layout, shard index, coverage/profile flags). `trials_done`
@@ -134,10 +144,11 @@ struct ProgressSink {
 
 constexpr const char* kShardSchema = "blunt-exp-shard";
 
-}  // namespace
-
-obs::Json shard_checkpoint_line(const Experiment& e, const ShardLayout& l,
-                                std::int64_t shard, const Accumulator& acc) {
+/// One checkpoint JSONL line for a completed shard.
+[[nodiscard]] obs::Json shard_checkpoint_line(const Experiment& e,
+                                              const ShardLayout& l,
+                                              std::int64_t shard,
+                                              const Accumulator& acc) {
   obs::JsonObject o;
   o["schema"] = obs::Json(kShardSchema);
   o["experiment"] = obs::Json(e.name);
@@ -149,7 +160,11 @@ obs::Json shard_checkpoint_line(const Experiment& e, const ShardLayout& l,
   return obs::Json(std::move(o));
 }
 
-std::map<std::int64_t, Accumulator> load_shard_checkpoint(
+/// Loads every checkpointed shard matching (experiment, seed, trials,
+/// shard_size). Tolerates torn/stale/foreign lines (they are skipped and the
+/// shard simply re-runs); duplicate shard lines keep the last occurrence —
+/// harmless, because a re-run shard contributes identical bits.
+[[nodiscard]] std::map<std::int64_t, Accumulator> load_shard_checkpoint(
     const std::string& path, const Experiment& e, const ShardLayout& l) {
   std::map<std::int64_t, Accumulator> shards;
   std::ifstream in(path);
@@ -191,15 +206,21 @@ std::map<std::int64_t, Accumulator> load_shard_checkpoint(
   return shards;
 }
 
-Accumulator run_one_shard(const Experiment& e, const ShardLayout& l,
-                          std::int64_t shard, bool coverage, bool profile) {
-  BLUNT_ASSERT(shard >= 0 && shard < l.num_shards,
-               "shard " << shard << " outside layout of " << l.num_shards);
-  return run_shard(e, l, shard, coverage, profile, nullptr);
+/// True when `path` is non-empty and its last byte is not a newline: the
+/// fragment a kill mid-append leaves behind.
+[[nodiscard]] bool has_torn_tail(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in || in.tellg() <= 0) return false;
+  in.seekg(-1, std::ios::end);
+  return in.get() != '\n';
 }
 
-Accumulator fold_shards(std::vector<Accumulator> shard_accs,
-                        std::map<std::string, std::vector<std::int64_t>>* growth) {
+/// The fixed merge tree: left fold in ascending shard index. `growth`, when
+/// non-null, receives the per-key cumulative coverage-growth curve computed
+/// inside the same fold.
+[[nodiscard]] Accumulator fold_shards(
+    std::vector<Accumulator> shard_accs,
+    std::map<std::string, std::vector<std::int64_t>>* growth = nullptr) {
   std::set<std::string> keys;
   if (growth != nullptr) {
     for (const Accumulator& acc : shard_accs) {
@@ -218,8 +239,6 @@ Accumulator fold_shards(std::vector<Accumulator> shard_accs,
   }
   return merged;
 }
-
-namespace {
 
 struct PassResult {
   std::vector<Accumulator> shard_accs;  // indexed by shard
@@ -391,9 +410,13 @@ RunOutput run_trials(const Experiment& e, const RunOptions& opts) {
   std::ofstream checkpoint_out;
   if (!opts.checkpoint_path.empty()) {
     resumed = load_shard_checkpoint(opts.checkpoint_path, e, l);
+    const bool torn = has_torn_tail(opts.checkpoint_path);
     checkpoint_out.open(opts.checkpoint_path, std::ios::app);
     BLUNT_ASSERT(checkpoint_out.good(),
                  "cannot open checkpoint " << opts.checkpoint_path);
+    // End the fragment first, or the next shard line would be glued onto it
+    // and skipped with it on the following resume.
+    if (torn) checkpoint_out << '\n';
   }
 
   // Telemetry plumbing: the counters always exist when a progress file was

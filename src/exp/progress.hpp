@@ -42,10 +42,6 @@ inline constexpr int kProgressVersion = 1;
 struct ProgressSample {
   std::string experiment;
   std::uint64_t seed = 0;
-  /// Worker identity for multi-process runs ("host:pid" by convention).
-  /// Empty for single-process runs; the key is omitted from the JSON record
-  /// when empty, so pre-worker progress files parse unchanged.
-  std::string worker;
   int threads = 0;
   double t_ms = 0.0;
   std::int64_t shards_total = 0;
@@ -92,36 +88,5 @@ struct ProgressSample {
 /// forever).
 int watch_progress(const std::string& path, int poll_ms, std::FILE* out,
                    long max_polls = 0);
-
-/// Union status line across several workers' latest samples (missing
-/// entries already filtered out by the caller). Totals are summed where
-/// they partition (shards_done, trials_done, trials/s), taken from the
-/// widest view where they do not (shards_total, resumed, coverage).
-[[nodiscard]] std::string render_multi_status_line(
-    const std::vector<ProgressSample>& latest);
-
-/// Expands shell glob patterns into the sorted, deduplicated set of
-/// matching paths. A pattern that matches nothing is kept verbatim (a
-/// literal file that does not exist yet must still be tracked; an
-/// unexpanded wildcard names a file that never exists, which the watch
-/// tolerates the same way).
-[[nodiscard]] std::vector<std::string> expand_progress_patterns(
-    const std::vector<std::string>& patterns);
-
-/// Tails several progress files at once — one per cooperating worker — and
-/// renders their union as a single \r-refreshed status line. Each entry is
-/// a shell glob pattern re-expanded on EVERY poll, so worker heartbeat
-/// files appearing after the watch started (`--workers N` runs name them
-/// `<progress>.w<k>` as each worker claims its lease) are discovered
-/// without listing them up front; already-tailed files keep their
-/// incremental offsets. Files that do not exist yet (a worker that has not
-/// written its first heartbeat) are tolerated and simply polled again.
-/// Returns 0 once either every existing file's latest record has done=true
-/// (and at least one exists), or any record reports done && complete — the
-/// finalizer's signal, which also covers a worker that was killed and never
-/// wrote its own done record. `max_polls` > 0 gives up (returns 1) after
-/// that many polls.
-int watch_progress_multi(const std::vector<std::string>& paths, int poll_ms,
-                         std::FILE* out, long max_polls = 0);
 
 }  // namespace blunt::exp

@@ -10,9 +10,13 @@
 #include "obs/trace_export.hpp"
 
 namespace blunt::exp {
+namespace {
 
-int finalize_and_report(const Experiment& e, const RunOutput& out,
-                        const std::function<void(obs::BenchReport&)>& decorate) {
+/// The report-emitting tail of a completed run: finalize hook, engine
+/// provenance + wall-clock stamping, report write + ledger append, and the
+/// optional flamegraph sidecar. Returns the finalize hook's exit code (0
+/// when the experiment has no finalize).
+int finalize_and_report(const Experiment& e, const RunOutput& out) {
   obs::BenchReport report(e.name);
   int rc = 0;
   if (e.finalize) rc = e.finalize(report, out.merged, out.info);
@@ -34,7 +38,6 @@ int finalize_and_report(const Experiment& e, const RunOutput& out,
   for (const auto& [threads, ms] : out.info.sweep_wall_ms) {
     report.add_timing_ms("engine_trials_t" + std::to_string(threads), ms);
   }
-  if (decorate) decorate(report);
 
   write_report(report);
 
@@ -60,6 +63,8 @@ int finalize_and_report(const Experiment& e, const RunOutput& out,
   }
   return rc;
 }
+
+}  // namespace
 
 int run_and_report(const Experiment& e, const RunOptions& opts) {
   const RunOutput out = run_trials(e, opts);

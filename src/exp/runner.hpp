@@ -5,24 +5,11 @@
 // and the thin per-bench mains funnel through here.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "exp/engine.hpp"
 
 namespace blunt::exp {
-
-/// The report-emitting tail of a completed run: finalize hook, engine
-/// provenance + wall-clock stamping, report write + ledger append, and the
-/// optional flamegraph sidecar. Exposed separately from run_and_report so
-/// other shard pools (the svc multi-process merger) can feed a merged
-/// accumulator they assembled themselves through the exact same path.
-/// `decorate`, when non-null, runs right before the report is written —
-/// e.g. to attach per-worker attribution. Returns the finalize hook's exit
-/// code (0 when the experiment has no finalize).
-int finalize_and_report(
-    const Experiment& e, const RunOutput& out,
-    const std::function<void(obs::BenchReport&)>& decorate = nullptr);
 
 /// Runs `e` under `opts` and writes its report. Returns the process exit
 /// code (the finalize hook's, usually 0).

@@ -1,9 +1,9 @@
 // Hardened advisory-flock discipline shared by every append-only journal in
-// the repo (experiment ledger, fuzz corpus, svc lease journal, soak state).
+// the repo (experiment ledger, fuzz corpus).
 //
 // The original ledger discipline (obs/ledger.cpp, PR 4) was "O_APPEND + one
-// write() under a blocking flock". Two gaps showed up once multiple worker
-// PROCESSES started hammering the same files: a blocking flock() can return
+// write() under a blocking flock". Two gaps showed up once several
+// processes started appending to the same files: a blocking flock() can return
 // EINTR (signal delivery mid-wait) which the old code treated as "not
 // locked", and heavy contention serializes every writer behind one kernel
 // wait queue with no visibility. acquire_file_lock() closes both:
@@ -13,7 +13,7 @@
 //     counter (surfaced as the `obs.lock_retries` observability counter);
 //   * jittered backoff derived from a caller-provided seed via SplitMix64 —
 //     fully deterministic for a fixed (seed, attempt), so tests can pin the
-//     exact backoff schedule while real workers (seeded from pid) decorrelate;
+//     exact backoff schedule while real writers (seeded from pid) decorrelate;
 //   * a final blocking flock that retries EINTR instead of giving up, so the
 //     lock is only ever abandoned when the filesystem refuses flock outright
 //     (ENOTSUP NFS et al. — callers keep the O_APPEND single-write defense).
@@ -29,10 +29,10 @@ struct LockRetryPolicy {
   int max_retries = 8;
   /// Backoff before retry i is base_backoff_us * 2^i plus jitter in
   /// [0, base_backoff_us * 2^i) — bounded, so a contended journal never
-  /// parks a worker for more than ~2 * base * 2^max_retries microseconds.
+  /// parks a writer for more than ~2 * base * 2^max_retries microseconds.
   std::int64_t base_backoff_us = 50;
-  /// Seeds the jitter stream (SplitMix64 over (seed, attempt)). Workers pass
-  /// something process-unique (pid, worker id hash); tests pass a constant
+  /// Seeds the jitter stream (SplitMix64 over (seed, attempt)). Writers pass
+  /// something process-unique (the pid); tests pass a constant
   /// and get a bit-identical backoff schedule.
   std::uint64_t seed = 0;
 };

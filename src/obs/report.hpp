@@ -79,14 +79,6 @@ class BenchReport {
   /// presence discipline as "coverage": emitted only if a key was set.
   void set_profile(const std::string& key, Json v);
 
-  /// Multi-process attribution (optional "workers" section): per-worker
-  /// shard/trial counts from a cooperative lease-claiming run, keyed by
-  /// worker id ("host:pid"). Same presence discipline as "coverage". Lives
-  /// OUTSIDE "metrics" on purpose: which worker ran which shard is
-  /// scheduling happenstance, so it must never participate in the
-  /// bit-identity comparisons the metrics section is subject to.
-  void set_worker(const std::string& worker_id, Json v);
-
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Json to_json() const;
 
@@ -103,7 +95,6 @@ class BenchReport {
   JsonObject environment_;
   JsonObject coverage_;
   JsonObject profile_;
-  JsonObject workers_;
   MetricsSnapshot registry_;
 };
 

@@ -2,17 +2,23 @@
 // bit-identical for every --threads value, seeds derive purely from
 // (experiment_seed, trial_index), checkpoint/resume reproduces the same
 // bits, and the builtin experiments' reports carry thread-count-independent
-// metrics sections.
+// metrics sections. The report path (run_and_report) writes one validated
+// report and one ledger entry per completed run, and none for a chunk.
 #include "exp/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
+#include "exp/runner.hpp"
 #include "exp/seed.hpp"
+#include "obs/ledger.hpp"
 #include "obs/report.hpp"
 
 namespace blunt::exp {
@@ -224,6 +230,131 @@ TEST(EngineCheckpoint, MismatchedCheckpointLinesAreIgnored) {
             run_trials(e, opts_with(2)).merged.to_json().dump());
 }
 
+TEST(EngineCheckpoint, TornTailDoesNotSwallowTheNextShard) {
+  const Experiment e = make_synthetic();
+  TempCheckpoint cp("torn_tail");
+  RunOptions chunk = opts_with(2);
+  chunk.checkpoint_path = cp.path();
+  chunk.max_shards = 3;
+  ASSERT_EQ(run_trials(e, chunk).info.shards_executed, 3);
+  // A kill mid-append: half of a shard line, no newline.
+  std::string line;
+  {
+    std::ifstream in(cp.path());
+    ASSERT_TRUE(std::getline(in, line));
+  }
+  {
+    std::ofstream out(cp.path(), std::ios::app);
+    out << line.substr(0, line.size() / 2);
+  }
+  const RunOutput second = run_trials(e, chunk);
+  EXPECT_EQ(second.info.shards_resumed, 3);
+  EXPECT_EQ(second.info.shards_executed, 3);
+  // Every shard the second chunk appended must survive the fragment.
+  EXPECT_EQ(run_trials(e, chunk).info.shards_resumed, 6);
+}
+
+/// Points reports and the ledger at a fresh private directory for the
+/// lifetime of one test.
+class ReportSandbox {
+ public:
+  explicit ReportSandbox(const std::string& tag)
+      : dir_(std::string(::testing::TempDir()) + "blunt_exp_report_" + tag) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    ::setenv("BLUNT_BENCH_DIR", dir_.c_str(), 1);
+    ::setenv("BLUNT_LEDGER", "1", 1);
+    ::setenv("BLUNT_LEDGER_PATH", ledger().c_str(), 1);
+    ::setenv("BLUNT_GIT_SHA", "0123456789abcdef0123456789abcdef01234567", 1);
+  }
+  ~ReportSandbox() {
+    for (const char* name : {"BLUNT_BENCH_DIR", "BLUNT_LEDGER",
+                             "BLUNT_LEDGER_PATH", "BLUNT_GIT_SHA"}) {
+      ::unsetenv(name);
+    }
+    std::filesystem::remove_all(dir_);
+  }
+  ReportSandbox(const ReportSandbox&) = delete;
+  ReportSandbox& operator=(const ReportSandbox&) = delete;
+
+  [[nodiscard]] std::string ledger() const { return dir_ + "/ledger.jsonl"; }
+  [[nodiscard]] std::string checkpoint() const { return dir_ + "/ck.jsonl"; }
+  [[nodiscard]] std::string report_path(const Experiment& e) const {
+    return dir_ + "/BENCH_" + e.name + ".json";
+  }
+  [[nodiscard]] obs::Json report(const Experiment& e) const {
+    std::ifstream in(report_path(e));
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return obs::Json::parse(buf.str());
+  }
+
+ private:
+  std::string dir_;
+};
+
+/// The synthetic workload plus a finalize hook that reports from the merged
+/// accumulator, the way the builtin experiments do.
+Experiment make_reporting() {
+  Experiment e = make_synthetic(100);
+  e.name = "synthetic_report";
+  e.finalize = [](obs::BenchReport& report, const Accumulator& acc,
+                  const RunInfo&) {
+    report.set_metric("x_mean", acc.stat("x").mean());
+    report.set_metric_int("n", acc.counter_or("n"));
+    report.merge_registry(acc.registry());
+    return 0;
+  };
+  return e;
+}
+
+TEST(EngineReport, WritesOneValidReportAndLedgerEntryPerRun) {
+  const Experiment e = make_reporting();
+  const ReportSandbox box("runs");
+  ASSERT_EQ(run_and_report(e, opts_with(1)), 0);
+  const obs::Json one = box.report(e);
+  EXPECT_EQ(obs::validate_report_json(one), "");
+  const obs::Json& env = one.at("environment");
+  for (const char* key :
+       {"engine_threads", "engine_shard_size", "engine_trials", "engine_seed",
+        "engine_shards_total", "engine_shards_resumed",
+        "engine_shards_executed"}) {
+    EXPECT_NE(env.find(key), nullptr) << key;
+  }
+  EXPECT_EQ(env.at("engine_trials").as_int(), 100);
+  EXPECT_NE(one.at("timings_ms").find("engine_trials"), nullptr);
+  EXPECT_EQ(one.find("workers"), nullptr);
+  EXPECT_EQ(obs::load_ledger(box.ledger()).entries.size(), 1u);
+
+  // Threads change provenance and timings only.
+  ASSERT_EQ(run_and_report(e, opts_with(2)), 0);
+  const obs::Json two = box.report(e);
+  EXPECT_EQ(env.at("engine_threads").as_int(), 1);
+  EXPECT_EQ(two.at("environment").at("engine_threads").as_int(), 2);
+  EXPECT_EQ(one.at("metrics").dump(), two.at("metrics").dump());
+  EXPECT_EQ(one.at("registry").dump(), two.at("registry").dump());
+  EXPECT_EQ(obs::load_ledger(box.ledger()).entries.size(), 2u);
+}
+
+TEST(EngineReport, ShardBudgetStopDefersTheReportToTheCompletingRerun) {
+  const Experiment e = make_reporting();
+  const ReportSandbox box("chunk");
+  RunOptions chunk = opts_with(2);
+  chunk.checkpoint_path = box.checkpoint();
+  chunk.max_shards = 3;
+  EXPECT_EQ(run_and_report(e, chunk), 0);
+  EXPECT_FALSE(std::filesystem::exists(box.report_path(e)));
+  EXPECT_TRUE(std::filesystem::exists(box.checkpoint()));
+  EXPECT_TRUE(obs::load_ledger(box.ledger()).entries.empty());
+
+  chunk.max_shards = 0;
+  EXPECT_EQ(run_and_report(e, chunk), 0);
+  EXPECT_FALSE(std::filesystem::exists(box.checkpoint()));
+  EXPECT_EQ(
+      box.report(e).at("environment").at("engine_shards_resumed").as_int(), 3);
+  EXPECT_EQ(obs::load_ledger(box.ledger()).entries.size(), 1u);
+}
+
 TEST(BuiltinExperiments, Theorem42MetricsThreadCountIndependent) {
   register_builtin_experiments();
   const Experiment* e = find_experiment("theorem42_bound");
@@ -249,13 +380,15 @@ TEST(BuiltinExperiments, Theorem42MetricsThreadCountIndependent) {
             rb.to_json().at("registry").dump());
 }
 
-TEST(BuiltinExperiments, AllSixAreRegistered) {
+TEST(BuiltinExperiments, AllNineAreRegistered) {
   register_builtin_experiments();
   for (const char* name :
        {"theorem42_bound", "abd_k_sweep", "chaos_soak", "equivalence_soak",
-        "snapshot_blunting", "hotpath"}) {
+        "snapshot_blunting", "hotpath", "fuzz_search", "scaling_probe",
+        "n_sweep"}) {
     EXPECT_NE(find_experiment(name), nullptr) << name;
   }
+  EXPECT_EQ(list_experiments().size(), 9u);
   EXPECT_EQ(find_experiment("nope"), nullptr);
 }
 

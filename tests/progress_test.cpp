@@ -246,185 +246,5 @@ TEST(ProgressWatch, ToleratesTornFinalHeartbeat) {
   writer.join();
 }
 
-TEST(ProgressSchema, WorkerFieldRoundTripsAndIsOmittedWhenEmpty) {
-  // Single-process samples must serialize exactly as before the worker
-  // field existed — no "worker" key at all.
-  const ProgressSample plain = make_sample();
-  EXPECT_EQ(progress_to_json(plain).find("worker"), nullptr);
-
-  ProgressSample s = make_sample();
-  s.worker = "host:4242";
-  const obs::Json j = progress_to_json(s);
-  ASSERT_NE(j.find("worker"), nullptr);
-  const std::optional<ProgressSample> back = parse_progress_line(j.dump());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->worker, "host:4242");
-  EXPECT_EQ(progress_to_json(*back).dump(), j.dump());
-}
-
-TEST(ProgressWatchMulti, UnionLineSumsPartitionsAndMaxesTotals) {
-  ProgressSample a = make_sample();
-  a.worker = "w1";
-  a.shards_done = 4;
-  a.trials_done = 60;
-  a.trials_per_sec = 100.0;
-  ProgressSample b = make_sample();
-  b.worker = "w2";
-  b.shards_done = 6;
-  b.trials_done = 80;
-  b.trials_per_sec = 50.0;
-  const std::string line = render_multi_status_line({a, b});
-  EXPECT_NE(line.find("synthetic"), std::string::npos);
-  EXPECT_NE(line.find("2 workers"), std::string::npos);
-  // done shards sum across workers (4+6), resumed takes the widest view
-  // (each worker loaded the same 2), so 12 of 21 shards are covered.
-  EXPECT_NE(line.find("shards 12/21"), std::string::npos);
-  EXPECT_NE(line.find("(2 resumed)"), std::string::npos);
-  EXPECT_NE(line.find("150.0 trials/s"), std::string::npos);  // summed rate
-  EXPECT_EQ(render_multi_status_line({}), "waiting for workers");
-}
-
-TEST(ProgressWatchMulti, TerminatesWhenEveryExistingWorkerIsDone) {
-  ProgressSample done1 = make_sample();
-  done1.worker = "w1";
-  done1.done = true;
-  ProgressSample done2 = make_sample();
-  done2.worker = "w2";
-  done2.done = true;
-
-  TempFile f1("multi1");
-  TempFile f2("multi2");
-  {
-    std::ofstream o1(f1.path());
-    o1 << progress_to_json(done1).dump() << '\n';
-    std::ofstream o2(f2.path());
-    o2 << progress_to_json(done2).dump() << '\n';
-  }
-  EXPECT_EQ(
-      watch_progress_multi({f1.path(), f2.path()}, 10, stderr, /*max_polls=*/5),
-      0);
-
-  // One worker still live -> keep polling until max_polls.
-  ProgressSample live = make_sample();
-  live.worker = "w2";
-  {
-    std::ofstream o2(f2.path());
-    o2 << progress_to_json(live).dump() << '\n';
-  }
-  EXPECT_EQ(
-      watch_progress_multi({f1.path(), f2.path()}, 10, stderr, /*max_polls=*/3),
-      1);
-}
-
-TEST(ProgressWatchMulti, FinalizerCompleteRecordOverridesMissingWorkers) {
-  // A worker killed before its done record never writes one; the
-  // finalizer's done && complete heartbeat must still terminate the watch,
-  // and a progress file that does not exist yet must be tolerated.
-  ProgressSample fin = make_sample();
-  fin.worker = "w1";
-  fin.done = true;
-  fin.complete = true;
-  ProgressSample live = make_sample();
-  live.worker = "w2";
-
-  TempFile f1("multi_fin");
-  TempFile f2("multi_live");
-  TempFile missing("multi_missing");  // never written
-  {
-    std::ofstream o1(f1.path());
-    o1 << progress_to_json(fin).dump() << '\n';
-    std::ofstream o2(f2.path());
-    o2 << progress_to_json(live).dump() << '\n';
-  }
-  EXPECT_EQ(watch_progress_multi({f1.path(), f2.path(), missing.path()}, 10,
-                                 stderr, /*max_polls=*/5),
-            0);
-}
-
-TEST(ProgressWatchMulti, OnlyMissingFilesKeepsPolling) {
-  TempFile never1("never1");
-  TempFile never2("never2");
-  EXPECT_EQ(watch_progress_multi({never1.path(), never2.path()}, 10, stderr,
-                                 /*max_polls=*/3),
-            1);
-}
-
-TEST(ProgressWatchMulti, GlobPatternExpandsSortedAndKeepsMissesVerbatim) {
-  TempFile f1("globa1");
-  TempFile f2("globa2");
-  {
-    std::ofstream(f1.path()) << "";
-    std::ofstream(f2.path()) << "";
-  }
-  const std::string pattern =
-      std::string(::testing::TempDir()) + "blunt_progress_globa?.jsonl";
-  // Matches expand sorted; listing a matched file alongside its pattern
-  // does not duplicate it.
-  const std::vector<std::string> want{f1.path(), f2.path()};
-  EXPECT_EQ(expand_progress_patterns({pattern}), want);
-  EXPECT_EQ(expand_progress_patterns({pattern, f2.path()}), want);
-  // A pattern with no match survives verbatim — literal not-yet-created
-  // files stay tracked, and a never-matching wildcard is just a file that
-  // never exists (the watch gives up at max_polls as usual).
-  const std::string miss =
-      std::string(::testing::TempDir()) + "blunt_progress_globnope*.jsonl";
-  EXPECT_EQ(expand_progress_patterns({miss}),
-            std::vector<std::string>{miss});
-  EXPECT_EQ(watch_progress_multi({miss}, 10, stderr, /*max_polls=*/3), 1);
-}
-
-TEST(ProgressWatchMulti, GlobWatchesWorkerFilesAndTerminates) {
-  ProgressSample done1 = make_sample();
-  done1.worker = "w1";
-  done1.done = true;
-  ProgressSample done2 = make_sample();
-  done2.worker = "w2";
-  done2.done = true;
-
-  TempFile f1("globd1");
-  TempFile f2("globd2");
-  {
-    std::ofstream o1(f1.path());
-    o1 << progress_to_json(done1).dump() << '\n';
-    std::ofstream o2(f2.path());
-    o2 << progress_to_json(done2).dump() << '\n';
-  }
-  const std::string pattern =
-      std::string(::testing::TempDir()) + "blunt_progress_globd*.jsonl";
-  EXPECT_EQ(watch_progress_multi({pattern}, 10, stderr, /*max_polls=*/5), 0);
-}
-
-TEST(ProgressWatchMulti, GlobDiscoversWorkerFileCreatedMidWatch) {
-  // The --workers N runner names heartbeat files "<progress>.w<k>" as each
-  // worker claims its lease, so a watch started early must pick up files
-  // that did not exist on its first poll. Here the pattern initially
-  // matches only a live worker; a finalizer record appears in a NEW file
-  // mid-watch and must terminate the watch — which can only happen if the
-  // pattern is re-expanded between polls.
-  ProgressSample live = make_sample();
-  live.worker = "w1";
-  ProgressSample fin = make_sample();
-  fin.worker = "w2";
-  fin.done = true;
-  fin.complete = true;
-
-  TempFile f1("globl1");
-  TempFile f2("globl2");
-  {
-    std::ofstream o1(f1.path());
-    o1 << progress_to_json(live).dump() << '\n';
-  }
-  std::thread writer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    std::ofstream o2(f2.path());
-    o2 << progress_to_json(fin).dump() << '\n';
-  });
-  const std::string pattern =
-      std::string(::testing::TempDir()) + "blunt_progress_globl?.jsonl";
-  EXPECT_EQ(watch_progress_multi({pattern}, 10, stderr, /*max_polls=*/100),
-            0);
-  writer.join();
-}
-
 }  // namespace
 }  // namespace blunt::exp

@@ -6,8 +6,7 @@
 //                 [--timing-sweep T1,T2,...] [--bench-dir DIR]
 //                 [--coverage] [--profile]
 //                 [--progress FILE] [--progress-interval MS]
-//                 [--workers N | --worker] [--lease-ttl MS] [--worker-id ID]
-//   blunt_exp watch FILE... [--poll MS]
+//   blunt_exp watch FILE [--poll MS]
 //
 // Runs a registered experiment on the deterministic parallel engine
 // (src/exp): trials shard across a work-stealing pool, per-trial seeds
@@ -17,11 +16,11 @@
 // append, exactly like the bench binaries they replace.
 //
 // --checkpoint FILE enables shard-granular resume: finished shards append to
-// FILE, an interrupted run picks up where it left off, and --max-shards N
-// time-boxes each chunk (the run exits after N new shards; rerun to
-// continue). --timing-sweep re-runs the trial phase at extra thread counts,
-// records each wall clock in timings_ms, and asserts the merged results are
-// bit-identical — the engine's built-in determinism self-check.
+// FILE, an interrupted (even killed) run picks up where it left off, and
+// --max-shards N time-boxes each chunk (the run exits after N new shards;
+// rerun to continue). --timing-sweep re-runs the trial phase at extra thread
+// counts, records each wall clock in timings_ms, and asserts the merged
+// results are bit-identical — the engine's built-in determinism self-check.
 //
 // --coverage turns on execution-coverage fingerprinting (schedule hashes,
 // interleaving n-grams, object histories — see obs/fingerprint.hpp): the
@@ -37,31 +36,17 @@
 // collapsed-stack flamegraph lands next to the report as
 // BENCH_<name>.flame.txt. Exact profile counters are bit-identical for every
 // --threads value; the nanosecond timings are advisory wall-clock.
-//
-// Multi-process mode (src/svc — requires --checkpoint, the shared run
-// identity): --workers N forks N cooperating worker processes that claim
-// shards through the crash-tolerant lease journal next to the checkpoint,
-// then merges and reports in the parent. --worker joins an existing run
-// instead: independent invocations pointed at the same --checkpoint
-// cooperate, a finalize election picks exactly one of them to fold and
-// report, and the merged metrics are bit-identical to a single-process
-// --threads 1 run — through any interleaving of kills and resumes.
-// --lease-ttl bounds how long a killed worker's shard stays unreclaimable.
-// `watch` accepts several progress files (one per worker) and renders
-// their union.
-#include <sys/wait.h>
-#include <unistd.h>
-
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "exp/progress.hpp"
 #include "exp/runner.hpp"
-#include "svc/worker.hpp"
 
 namespace {
 
@@ -86,21 +71,33 @@ int usage(const char* argv0) {
       "           [--timing-sweep T1,T2,...] [--bench-dir DIR]\n"
       "           [--coverage] [--profile]\n"
       "           [--progress FILE] [--progress-interval MS]\n"
-      "           [--workers N | --worker] [--lease-ttl MS] [--worker-id ID]\n"
-      "       %s watch FILE_OR_GLOB... [--poll MS]\n",
+      "       %s watch FILE [--poll MS]\n",
       argv0, argv0, argv0);
   return 2;
 }
 
+/// Parses all of `text` as a base-10 number; empty input, trailing
+/// characters and overflow print an error naming `flag` and exit 2.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "%s: '%s' is not a valid number\n", flag.c_str(),
+                 text.c_str());
+    std::exit(2);
+  }
+  return v;
+}
+
 int watch_main(int argc, char** argv, const char* argv0) {
-  // argv[0..] are FILE operands or glob patterns (quote them so the shell
-  // does not expand early — `watch 'run.jsonl*'` discovers per-worker
-  // heartbeat files as they appear); optional --poll MS.
+  // argv[0..] is the FILE operand plus an optional --poll MS.
   std::vector<std::string> paths;
   int poll_ms = 250;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--poll") == 0 && i + 1 < argc) {
-      poll_ms = std::atoi(argv[++i]);
+      poll_ms = parse_number<int>("--poll", argv[++i]);
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown watch flag %s\n", argv[i]);
       return usage(argv0);
@@ -108,71 +105,22 @@ int watch_main(int argc, char** argv, const char* argv0) {
       paths.emplace_back(argv[i]);
     }
   }
-  if (paths.empty()) return usage(argv0);
-  // A single literal (no glob metacharacters) keeps the classic one-file
-  // tail; anything else — several operands or a pattern — goes through the
-  // re-globbing multi-watch so late worker files are discovered.
-  if (paths.size() == 1 &&
-      paths[0].find_first_of("*?[") == std::string::npos) {
-    return blunt::exp::watch_progress(paths[0], poll_ms, stdout);
-  }
-  return blunt::exp::watch_progress_multi(paths, poll_ms, stdout);
+  if (paths.size() != 1) return usage(argv0);
+  return blunt::exp::watch_progress(paths[0], poll_ms, stdout);
 }
 
-/// --workers N: fork N cooperating children (each the plain worker loop, no
-/// election), wait for them all, then merge and report in the parent. Any
-/// child that died without finishing is fine — the survivors reclaimed its
-/// stale leases; the parent only needs the checkpoint to be whole.
-int run_with_workers(const blunt::exp::Experiment& e,
-                     blunt::svc::WorkerOptions worker, int workers) {
-  std::vector<pid_t> pids;
-  for (int w = 0; w < workers; ++w) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      std::perror("fork");
-      return 2;
-    }
-    if (pid == 0) {
-      blunt::svc::WorkerOptions child = worker;
-      child.finalize = false;
-      if (!worker.progress_path.empty()) {
-        // One heartbeat file per worker: "<progress>.w<k>".
-        child.progress_path =
-            worker.progress_path + ".w" + std::to_string(w);
-      }
-      const blunt::svc::WorkerResult res = blunt::svc::run_worker(e, child);
-      std::_Exit(res.exit_code);
-    }
-    pids.push_back(pid);
-  }
-  bool all_ok = true;
-  for (const pid_t pid : pids) {
-    int status = 0;
-    if (::waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
-        WEXITSTATUS(status) != 0) {
-      all_ok = false;
-    }
-  }
-  if (!all_ok) {
-    std::fprintf(stderr, "blunt_exp: a worker exited abnormally\n");
-    return 1;
-  }
-  return blunt::svc::merge_and_report(e, worker);
-}
-
+/// Comma-separated thread counts; non-positive entries are dropped.
 std::vector<int> parse_thread_list(const std::string& arg) {
   std::vector<int> out;
   std::size_t pos = 0;
-  while (pos < arg.size()) {
+  for (;;) {
     const std::size_t comma = arg.find(',', pos);
-    const std::string tok =
-        arg.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    const int t = std::atoi(tok.c_str());
+    const int t =
+        parse_number<int>("--timing-sweep", arg.substr(pos, comma - pos));
     if (t > 0) out.push_back(t);
-    if (comma == std::string::npos) break;
+    if (comma == std::string::npos) return out;
     pos = comma + 1;
   }
-  return out;
 }
 
 }  // namespace
@@ -191,10 +139,6 @@ int main(int argc, char** argv) {
 
   const std::string name = argv[2];
   blunt::exp::RunOptions opts;
-  int workers = 0;        // --workers N: fork-and-merge mode
-  bool join_worker = false;  // --worker: join an existing run
-  std::int64_t lease_ttl_ms = 30000;
-  std::string worker_id;
   for (int i = 3; i < argc; ++i) {
     const std::string flag = argv[i];
     const auto value = [&]() -> const char* {
@@ -205,19 +149,19 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--threads") {
-      opts.threads = std::atoi(value());
+      opts.threads = parse_number<int>(flag, value());
       if (opts.threads < 1) opts.threads = 1;
     } else if (flag == "--trials") {
-      opts.trials = std::atoll(value());
+      opts.trials = parse_number<std::int64_t>(flag, value());
     } else if (flag == "--seed") {
       opts.has_seed = true;
-      opts.seed = std::strtoull(value(), nullptr, 10);
+      opts.seed = parse_number<std::uint64_t>(flag, value());
     } else if (flag == "--shard-size") {
-      opts.shard_size = std::atoi(value());
+      opts.shard_size = parse_number<int>(flag, value());
     } else if (flag == "--checkpoint") {
       opts.checkpoint_path = value();
     } else if (flag == "--max-shards") {
-      opts.max_shards = std::atoi(value());
+      opts.max_shards = parse_number<int>(flag, value());
     } else if (flag == "--timing-sweep") {
       opts.timing_sweep = parse_thread_list(value());
     } else if (flag == "--bench-dir") {
@@ -229,51 +173,12 @@ int main(int argc, char** argv) {
     } else if (flag == "--progress") {
       opts.progress_path = value();
     } else if (flag == "--progress-interval") {
-      opts.progress_interval_ms = std::atoi(value());
-    } else if (flag == "--workers") {
-      workers = std::atoi(value());
-      if (workers < 1) workers = 1;
-    } else if (flag == "--worker") {
-      join_worker = true;
-    } else if (flag == "--lease-ttl") {
-      lease_ttl_ms = std::atoll(value());
-      if (lease_ttl_ms < 100) lease_ttl_ms = 100;
-    } else if (flag == "--worker-id") {
-      worker_id = value();
+      opts.progress_interval_ms = parse_number<int>(flag, value());
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return usage(argv[0]);
     }
   }
 
-  if (workers > 0 || join_worker) {
-    if (workers > 0 && join_worker) {
-      std::fprintf(stderr, "--workers and --worker are exclusive\n");
-      return 2;
-    }
-    if (opts.checkpoint_path.empty()) {
-      std::fprintf(stderr,
-                   "worker mode needs --checkpoint (the shared run "
-                   "identity all workers agree on)\n");
-      return 2;
-    }
-    blunt::exp::register_builtin_experiments();
-    const blunt::exp::Experiment* e = blunt::exp::find_experiment(name);
-    if (e == nullptr) {
-      std::fprintf(stderr, "unknown experiment '%s' (try --list)\n",
-                   name.c_str());
-      return 2;
-    }
-    blunt::svc::WorkerOptions worker;
-    worker.run = opts;
-    worker.lease_ttl_ms = lease_ttl_ms;
-    worker.worker_id = worker_id;
-    worker.progress_path = opts.progress_path;
-    worker.run.progress_path.clear();  // workers write their own heartbeats
-    if (join_worker) {
-      return blunt::svc::run_worker(*e, worker).exit_code;
-    }
-    return run_with_workers(*e, worker, workers);
-  }
   return blunt::exp::run_registered(name, opts);
 }

@@ -469,47 +469,6 @@ struct ProfileView {
   return pv;
 }
 
-/// One completed soak pass from SOAK_STATE.jsonl (schema "blunt-soak-pass",
-/// written by blunt_soak; string kept in sync manually — blunt_report must
-/// not link the svc layer just for a constant).
-struct SoakPass {
-  std::int64_t pass = 0;
-  std::string experiment;
-  std::int64_t trials = 0;
-  double wall_ms = 0.0;
-  int exit_code = 0;
-  std::int64_t ts_unix_ms = 0;
-};
-
-[[nodiscard]] std::vector<SoakPass> load_soak_passes(const std::string& dir) {
-  std::vector<SoakPass> passes;
-  std::ifstream in(dir + "/SOAK_STATE.jsonl");
-  if (!in) return passes;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    try {
-      const Json j = Json::parse(line);
-      const Json* schema = j.find("schema");
-      if (schema == nullptr || !schema->is_string() ||
-          schema->as_string() != "blunt-soak-pass") {
-        continue;
-      }
-      SoakPass p;
-      p.pass = j.at("pass").as_int();
-      p.experiment = j.at("experiment").as_string();
-      p.trials = j.at("trials").as_int();
-      p.wall_ms = j.at("wall_ms").as_double();
-      p.exit_code = static_cast<int>(j.at("exit_code").as_int());
-      p.ts_unix_ms = j.at("ts_unix_ms").as_int();
-      passes.push_back(std::move(p));
-    } catch (const std::exception&) {
-      // torn record from a killed soak: the pass re-ran anyway
-    }
-  }
-  return passes;
-}
-
 [[nodiscard]] const char* verdict_css(obs::Verdict v) {
   switch (v) {
     case obs::Verdict::kImproved: return "improved";
@@ -532,8 +491,7 @@ void write_file(const std::string& path, const std::string& content) {
 std::string build_markdown(const std::vector<BenchState>& benches,
                            const std::vector<obs::MetricComparison>& all,
                            const obs::Ledger& ledger,
-                           const std::vector<std::string>& errors,
-                           const std::vector<SoakPass>& soak) {
+                           const std::vector<std::string>& errors) {
   std::ostringstream md;
   int regressed = 0, improved = 0, neutral = 0, violated = 0;
   for (const auto& c : all) {
@@ -648,44 +606,6 @@ std::string build_markdown(const std::vector<BenchState>& benches,
       md << "| " << fmt(s.n) << " | " << fmt(s.steps) << " | " << fmt(s.scans)
          << " | " << fmt(s.quorum) << " | " << fmt(s.deliv) << " | "
          << fmt(s.scan_ns) << " |\n";
-    }
-  }
-  bool any_workers = false;
-  for (const auto& b : benches) {
-    const Json* workers = b.current.find("workers");
-    if (workers == nullptr || !workers->is_object() ||
-        workers->as_object().empty()) {
-      continue;
-    }
-    if (!any_workers) {
-      md << "\n## Worker attribution\n\n";
-      md << "| bench | worker | shards | trials |\n";
-      md << "|---|---|---|---|\n";
-      any_workers = true;
-    }
-    for (const auto& [worker, v] : workers->as_object()) {
-      const auto cell = [&v](const char* key) -> std::string {
-        const Json* n = v.is_object() ? v.find(key) : nullptr;
-        return n != nullptr && n->is_number() ? fmt(n->as_double()) : "-";
-      };
-      md << "| " << b.name << " | `" << worker << "` | " << cell("shards")
-         << " | " << cell("trials") << " |\n";
-    }
-  }
-  if (!soak.empty()) {
-    md << "\n## Soak history\n\n";
-    md << "- completed passes: " << soak.size() << "\n\n";
-    // Latest passes first; the full trend lives in the ledger sparklines.
-    md << "| pass | experiment | trials | wall ms | exit | finished (UTC) |\n";
-    md << "|---|---|---|---|---|---|\n";
-    constexpr std::size_t kMaxSoakRows = 20;
-    const std::size_t begin =
-        soak.size() > kMaxSoakRows ? soak.size() - kMaxSoakRows : 0;
-    for (std::size_t i = soak.size(); i-- > begin;) {
-      const SoakPass& p = soak[i];
-      md << "| " << p.pass << " | " << p.experiment << " | " << p.trials
-         << " | " << fmt(p.wall_ms) << " | " << p.exit_code << " | "
-         << iso_utc(p.ts_unix_ms / 1000) << " |\n";
     }
   }
   md << "\n## Baselines\n\n";
@@ -1030,9 +950,7 @@ int run(int argc, char** argv) {
     benches.push_back(std::move(b));
   }
 
-  write_file(opts->out_md,
-             build_markdown(benches, all, ledger, errors,
-                            load_soak_passes(opts->bench_dir)));
+  write_file(opts->out_md, build_markdown(benches, all, ledger, errors));
   write_file(opts->out_html, build_html(benches, all, ledger));
 
   bool regression = !errors.empty();
