@@ -23,11 +23,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/assert.hpp"
 #include "core/bounds.hpp"
 #include "exp/experiment.hpp"
+#include "exp/parse.hpp"
 #include "exp/workloads.hpp"
 #include "game/abd_phase_game.hpp"
 #include "game/solver.hpp"
@@ -40,13 +40,8 @@ constexpr int kTrialsPerSeed = 100;
 constexpr std::int64_t kTrialsPerK = kSchedulerSeeds * kTrialsPerSeed;
 
 int max_k_from_env() {
-  int max_k = 3;  // k=4 adds ~40s; enable with BLUNT_MAX_K=4
-  if (const char* env = std::getenv("BLUNT_MAX_K")) {
-    max_k = std::atoi(env);
-    if (max_k < 1) max_k = 1;
-    if (max_k > 4) max_k = 4;
-  }
-  return max_k;
+  // k=4 adds ~40s; enable with BLUNT_MAX_K=4
+  return std::clamp(env_number<int>("BLUNT_MAX_K", 3), 1, 4);
 }
 
 std::int64_t resolve_trials(std::int64_t /*requested*/) {

@@ -29,13 +29,13 @@
 // sequential (stop at the first violation, then ddmin) and runs in finalize.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "adversary/shrink.hpp"
 #include "common/assert.hpp"
 #include "exp/experiment.hpp"
+#include "exp/parse.hpp"
 #include "exp/workloads.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -313,10 +313,8 @@ ChaosLayout layout_from_total(std::int64_t total) {
 
 std::int64_t abd_trials_requested(std::int64_t requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("BLUNT_CHAOS_TRIALS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
+  const auto v = env_number<std::int64_t>("BLUNT_CHAOS_TRIALS", 0);
+  if (v > 0) return v;
   return 550;  // default exceeds the 1000-plan acceptance bar
 }
 

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "exp/experiment.hpp"
+#include "exp/parse.hpp"
 #include "exp/workloads.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/fuzzer.hpp"
@@ -72,10 +73,8 @@ std::string corpus_path() {
 }
 
 std::int64_t resolve_fuzz_trials(std::int64_t requested) {
-  if (const char* env = std::getenv("BLUNT_FUZZ_TRIALS")) {
-    const long v = std::atol(env);
-    if (v > 0) requested = v;
-  }
+  const auto v = env_number<std::int64_t>("BLUNT_FUZZ_TRIALS", 0);
+  if (v > 0) requested = v;
   if (requested <= 0) requested = kLayoutTrials;
   return std::min<std::int64_t>(requested, kLayoutTrials);
 }

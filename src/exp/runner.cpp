@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "exp/parse.hpp"
 #include "exp/workloads.hpp"
 #include "obs/prof_export.hpp"
 #include "obs/report.hpp"
@@ -95,10 +96,8 @@ int run_registered(const std::string& name, const RunOptions& opts) {
 
 int run_experiment_main(const std::string& name) {
   RunOptions opts;
-  if (const char* env = std::getenv("BLUNT_EXP_THREADS")) {
-    const int t = std::atoi(env);
-    if (t > 0) opts.threads = t;
-  }
+  const int t = env_number<int>("BLUNT_EXP_THREADS", 0);
+  if (t > 0) opts.threads = t;
   return run_registered(name, opts);
 }
 

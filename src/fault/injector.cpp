@@ -69,13 +69,15 @@ bool FaultInjector::channel_blocked(Pid from, Pid to) const {
   return false;
 }
 
-void FaultInjector::on_step(sim::World& w) {
+bool FaultInjector::on_step(sim::World& w) {
   const int step = w.steps_executed();
+  bool changed = false;
   for (std::size_t i = 0; i < plan_.partitions.size(); ++i) {
     const Partition& p = plan_.partitions[i];
     PartitionState& st = pstate_[i];
     if (!st.opened && step >= p.open_step) {
       st.opened = true;
+      changed = true;
       ++opened_;
       if (opened_counter_ != nullptr) opened_counter_->inc();
       if (trace_->recording()) {
@@ -94,6 +96,7 @@ void FaultInjector::on_step(sim::World& w) {
     }
     if (st.opened && !st.healed && step >= p.heal_step) {
       st.healed = true;
+      changed = true;
       ++healed_;
       if (healed_counter_ != nullptr) healed_counter_->inc();
       if (trace_->recording()) {
@@ -111,6 +114,7 @@ void FaultInjector::on_step(sim::World& w) {
       }
     }
   }
+  return changed;
 }
 
 bool FaultInjector::tick_pending(const sim::World&) const {

@@ -34,7 +34,7 @@ class FaultInjector final : public sim::FaultLayer {
   // -- sim::FaultLayer --
   sim::SendFate on_send(const std::string& net, Pid from, Pid to) override;
   [[nodiscard]] bool channel_blocked(Pid from, Pid to) const override;
-  void on_step(sim::World& w) override;
+  bool on_step(sim::World& w) override;
   [[nodiscard]] bool tick_pending(const sim::World& w) const override;
 
   // -- Introspection (tests, benches) --

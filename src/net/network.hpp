@@ -22,13 +22,13 @@
 // partition heals. Every fault decision is deterministic (see
 // sim/fault_hooks.hpp), so faulty executions replay exactly.
 //
-// Enabled-index integration (DESIGN.md §14): when attached to a World, the
-// Network runs in push mode — every send/deliver/crash-drop pushes a delta
-// to the World's incremental enabled-index, and enumeration_version()
-// reports kSourcePushed so the World never re-enumerates it. Setting a
-// fault layer permanently disables push mode (partitions hide and reveal
-// messages without mutating the in-transit set, so only a per-scan rescan
-// is sound); set the fault layer before the first scheduler step.
+// Enabled-index integration (DESIGN.md §14): once attached to a World, the
+// network pushes every send, delivery and crash-drop of a deliverable
+// message to the World's incremental enabled-index. A message on a severed
+// channel is not deliverable, so its send and its crash-drop push nothing.
+// Which channels are severed changes only when a partition opens or heals,
+// after which the World re-enumerates every source (FaultLayer::on_step),
+// or when set_fault_layer swaps the layer, which resyncs this network.
 #pragma once
 
 #include <algorithm>
@@ -44,6 +44,7 @@
 #include "sim/delivery.hpp"
 #include "sim/fault_hooks.hpp"
 #include "sim/trace.hpp"
+#include "sim/world.hpp"
 
 namespace blunt::net {
 
@@ -84,18 +85,16 @@ class Network final : public sim::DeliverySource {
   }
 
   /// Interposes `layer` on every subsequent send/enumerate (nullptr =
-  /// faithful channels, the default). Installing any layer permanently
-  /// drops this network out of enabled-index push mode: partition state
-  /// changes what enumerate() returns without touching in_transit_, so the
-  /// World must rescan it every step from then on (even if the layer is
-  /// later cleared — pushes suspended meanwhile cannot be replayed).
+  /// faithful channels, the default). May be called at any time: the
+  /// layer decides which held messages enumerate() hides, so an attached
+  /// network asks the World to re-enumerate it.
   void set_fault_layer(sim::FaultLayer* layer) {
     fault_layer_ = layer;
-    if (layer != nullptr) push_disabled_ = true;
     if (layer != nullptr && metrics_ != nullptr) {
       lost_counter_ = metrics_->counter(obs::kFaultMessagesLost);
       duplicated_counter_ = metrics_->counter(obs::kFaultMessagesDuplicated);
     }
+    if (world() != nullptr) world()->source_resync(source_id());
   }
 
   /// Point-to-point send (self-sends allowed; ABD nodes message themselves).
@@ -159,13 +158,12 @@ class Network final : public sim::DeliverySource {
       }
       // ids are monotone, so the vector stays sorted by append.
       in_transit_.push_back(Envelope{id, from, to, msg});
-      if (push_active()) {
-        sink_->source_event_insert(
-            source_id_, id, to,
-            sink_->source_wants_summaries()
-                ? name_ + " " + msg.summary() + " from p" +
-                      std::to_string(from)
-                : std::string());
+      if (world() != nullptr && !severed(from, to)) {
+        world()->source_event_insert(
+            source_id(), id, to,
+            world()->wants_what() ? name_ + " " + msg.summary() + " from p" +
+                                        std::to_string(from)
+                                  : std::string());
       }
     }
   }
@@ -180,9 +178,8 @@ class Network final : public sim::DeliverySource {
   void enumerate(std::vector<sim::PendingDelivery>& out,
                  bool want_summaries) const override {
     for (const Envelope& env : in_transit_) {
-      if (fault_layer_ != nullptr &&
-          fault_layer_->channel_blocked(env.from, env.to)) {
-        continue;  // severed by a partition; held until it heals
+      if (severed(env.from, env.to)) {
+        continue;  // held by a partition until it heals
       }
       out.push_back({env.id, env.to,
                      want_summaries ? name_ + " " + env.payload.summary() +
@@ -197,7 +194,7 @@ class Network final : public sim::DeliverySource {
                  "deliver of unknown msg " << msg_id);
     Envelope env = std::move(*it);
     in_transit_.erase(it);
-    if (push_active()) sink_->source_event_erase(source_id_, msg_id);
+    if (world() != nullptr) world()->source_event_erase(source_id(), msg_id);
     BLUNT_ASSERT(!crashed_[static_cast<std::size_t>(env.to)],
                  "deliver to crashed p" << env.to);
     ++messages_delivered_;
@@ -213,7 +210,9 @@ class Network final : public sim::DeliverySource {
     for (const Envelope& env : in_transit_) {
       if (env.to != pid) continue;
       if (dropped_counter_ != nullptr) dropped_counter_->inc();
-      if (push_active()) sink_->source_event_erase(source_id_, env.id);
+      if (world() != nullptr && !severed(env.from, env.to)) {
+        world()->source_event_erase(source_id(), env.id);
+      }
     }
     std::erase_if(in_transit_,
                   [pid](const Envelope& e) { return e.to == pid; });
@@ -221,24 +220,12 @@ class Network final : public sim::DeliverySource {
 
   void describe_pending(std::vector<std::string>& out) const override {
     for (const Envelope& env : in_transit_) {
-      const bool blocked =
-          fault_layer_ != nullptr &&
-          fault_layer_->channel_blocked(env.from, env.to);
+      const bool blocked = severed(env.from, env.to);
       out.push_back(name_ + " msg" + std::to_string(env.id) + " p" +
                     std::to_string(env.from) + "→p" + std::to_string(env.to) +
                     " " + env.payload.summary() +
                     (blocked ? " [held by partition]" : " [deliverable]"));
     }
-  }
-
-  [[nodiscard]] std::int64_t enumeration_version() const override {
-    return push_active() ? sim::kSourcePushed : sim::kSourceUnversioned;
-  }
-
-  void bind_enabled_index(sim::EnabledIndexSink* sink,
-                          int source_id) override {
-    sink_ = sink;
-    source_id_ = source_id;
   }
 
   // -- Introspection --
@@ -267,8 +254,9 @@ class Network final : public sim::DeliverySource {
                  "bad pid " << pid << " on network " << name_);
   }
 
-  [[nodiscard]] bool push_active() const {
-    return sink_ != nullptr && !push_disabled_;
+  /// True while the fault layer holds messages on channel from -> to.
+  [[nodiscard]] bool severed(Pid from, Pid to) const {
+    return fault_layer_ != nullptr && fault_layer_->channel_blocked(from, to);
   }
 
   [[nodiscard]] typename std::vector<Envelope>::iterator find_in_transit(
@@ -294,11 +282,6 @@ class Network final : public sim::DeliverySource {
   // enumeration order, no node allocations on the send path.
   std::vector<Envelope> in_transit_;
   std::vector<char> crashed_;  // indexed by pid
-  // Enabled-index push binding (set by World::attach via
-  // bind_enabled_index); push_disabled_ latches when a fault layer is set.
-  sim::EnabledIndexSink* sink_ = nullptr;
-  int source_id_ = -1;
-  bool push_disabled_ = false;
   int next_id_ = 0;
   int messages_sent_ = 0;
   int messages_delivered_ = 0;

@@ -111,7 +111,8 @@ void AbdRegister::handle(Pid to, Pid from, const AbdMessage& m) {
         ph.best_val = m.val;
         ph.best_ts = m.ts;
       }
-      ++mutation_stamp_;
+      // Reaching the quorum hides the phase's resend token.
+      if (static_cast<int>(ph.count) == quorum_) resend_src_.resync();
       world_.wake_hint(to);
       break;
     }
@@ -133,7 +134,7 @@ void AbdRegister::handle(Pid to, Pid from, const AbdMessage& m) {
       if ((ph.responders[word] & bit) != 0) break;
       ph.responders[word] |= bit;
       ++ph.count;
-      ++mutation_stamp_;
+      if (static_cast<int>(ph.count) == quorum_) resend_src_.resync();
       world_.wake_hint(to);
       break;
     }
@@ -173,14 +174,14 @@ void AbdRegister::ResendSource::arm(Pid client, int sn, AbdMessage msg,
                                     int retries) {
   if (retries <= 0) return;
   tokens_.emplace(next_token_++, Token{client, sn, std::move(msg), retries});
-  ++reg_->mutation_stamp_;
+  resync();
 }
 
 void AbdRegister::ResendSource::disarm(Pid client, int sn) {
   for (auto it = tokens_.begin(); it != tokens_.end();) {
     if (it->second.client == client && it->second.sn == sn) {
       it = tokens_.erase(it);
-      ++reg_->mutation_stamp_;
+      resync();
     } else {
       ++it;
     }
@@ -226,7 +227,7 @@ void AbdRegister::ResendSource::deliver(int msg_id) {
   const Pid client = t.client;
   const AbdMessage msg = t.msg;
   if (t.retries_left <= 0) tokens_.erase(it);
-  ++reg_->mutation_stamp_;
+  resync();  // one retry fewer (or the token gone)
   reg_->net_.broadcast(client, msg);
 }
 
@@ -234,15 +235,11 @@ void AbdRegister::ResendSource::on_crash(Pid pid) {
   for (auto it = tokens_.begin(); it != tokens_.end();) {
     if (it->second.client == pid) {
       it = tokens_.erase(it);
-      ++reg_->mutation_stamp_;
+      resync();
     } else {
       ++it;
     }
   }
-}
-
-std::int64_t AbdRegister::ResendSource::enumeration_version() const {
-  return reg_->mutation_stamp_;
 }
 
 void AbdRegister::ResendSource::describe_pending(

@@ -169,9 +169,12 @@ class AbdRegister final : public RegisterObject {
     void describe_pending(std::vector<std::string>& out) const override;
 
     /// enumerate() depends on the token set AND on phase_satisfied, so the
-    /// register bumps one shared stamp on every quorum-state or token
-    /// mutation; the World re-enumerates only when it moved.
-    [[nodiscard]] std::int64_t enumeration_version() const override;
+    /// register calls this on every token mutation and whenever a phase
+    /// reaches its quorum: the World then re-enumerates the tokens. No-op
+    /// while unattached (retransmission off).
+    void resync() const {
+      if (world() != nullptr) world()->source_resync(source_id());
+    }
 
    private:
     struct Token {
@@ -228,9 +231,6 @@ class AbdRegister final : public RegisterObject {
   ResendSource resend_src_;
   std::vector<Server> servers_;
   std::vector<Client> clients_;
-  // Monotone stamp backing ResendSource::enumeration_version(): bumped on
-  // every reply/ack recorded and on every token arm/disarm/fire/crash-drop.
-  std::int64_t mutation_stamp_ = 0;
   std::int64_t writer_seq_ = 0;  // single-writer variant's local stamp
   int query_phases_run_ = 0;
   int retransmissions_ = 0;

@@ -5,7 +5,6 @@
 // one. Keeping only this interface in sim avoids a sim -> net dependency.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -13,39 +12,26 @@
 
 namespace blunt::sim {
 
+class World;
+
 struct PendingDelivery {
   int msg_id = -1;
   Pid to = -1;
   std::string summary;  // human-readable message description
 };
 
-/// Sentinels for DeliverySource::enumeration_version().
-inline constexpr std::int64_t kSourceUnversioned = -1;
-inline constexpr std::int64_t kSourcePushed = -2;
-
-/// The World's incremental enabled-index, seen from a delivery source. A
-/// source that can report its own mutations pushes per-message deltas here
-/// instead of being re-enumerated every scheduler step. Deltas arrive in
-/// canonical order (msg_id strictly increasing per source for inserts); the
-/// sink ignores deltas until it has synced the source once via enumerate().
-class EnabledIndexSink {
- public:
-  virtual ~EnabledIndexSink() = default;
-
-  /// A new message became deliverable. `summary` may be empty; it is only
-  /// consulted when wants_summaries() is true, and is copied by the sink.
-  virtual void source_event_insert(int source_id, int msg_id, Pid to,
-                                   std::string&& summary) = 0;
-
-  /// Message `msg_id` is no longer deliverable (delivered or recipient
-  /// crashed). No-op if the sink has not yet synced this source.
-  virtual void source_event_erase(int source_id, int msg_id) = 0;
-
-  /// True when the World runs at full trace detail and inserts must carry a
-  /// formatted summary. Constant for the lifetime of the binding.
-  [[nodiscard]] virtual bool source_wants_summaries() const = 0;
-};
-
+/// A set of deliverable items the World offers to the adversary.
+///
+/// Staleness contract with the World's incremental enabled-index (DESIGN.md
+/// §14): the World enumerates an attached source once, at its next scan,
+/// and afterwards only after a resync. The source reports every change to
+/// what enumerate() would return to the World it is attached to (world(),
+/// under source_id()):
+///  - World::source_event_insert / source_event_erase for one message;
+///  - World::source_resync for any other change.
+/// The World itself resyncs every source when its fault layer's channel
+/// state changes (FaultLayer::on_step). An unattached source (world() ==
+/// nullptr) reports nothing.
 class DeliverySource {
  public:
   virtual ~DeliverySource() = default;
@@ -53,7 +39,7 @@ class DeliverySource {
   /// Append all currently deliverable messages, in canonical (msg_id) order.
   /// `want_summaries` is false when the World runs at reduced trace detail:
   /// implementations must then leave `summary` empty instead of formatting
-  /// one per message per scheduler step (the enumeration hot path).
+  /// one per message.
   virtual void enumerate(std::vector<PendingDelivery>& out,
                          bool want_summaries) const = 0;
 
@@ -73,29 +59,16 @@ class DeliverySource {
     (void)out;
   }
 
-  /// Dirty-tracking contract with the World's incremental enabled-index.
-  ///
-  ///  - kSourceUnversioned (default): the deliverable set may change without
-  ///    notice (e.g. a fault layer hides/reveals messages as partitions
-  ///    form/heal); the World re-enumerates the source every scan.
-  ///  - kSourcePushed: the source pushes every mutation to the bound
-  ///    EnabledIndexSink; the World enumerates once to sync, then trusts the
-  ///    pushed deltas.
-  ///  - v >= 0: a monotone stamp the source MUST bump on every mutation of
-  ///    its deliverable set, including on_crash() and any state change that
-  ///    alters what enumerate() would return; the World re-enumerates only
-  ///    when the stamp moved.
-  [[nodiscard]] virtual std::int64_t enumeration_version() const {
-    return kSourceUnversioned;
-  }
+ protected:
+  /// The World this source is attached to (nullptr until World::attach) and
+  /// the source id it assigned.
+  [[nodiscard]] World* world() const { return world_; }
+  [[nodiscard]] int source_id() const { return source_id_; }
 
-  /// Called once when the source is attached to a World. Sources that can
-  /// push deltas store the sink and its assigned source_id; the default
-  /// (rescan/versioned) implementation ignores it.
-  virtual void bind_enabled_index(EnabledIndexSink* sink, int source_id) {
-    (void)sink;
-    (void)source_id;
-  }
+ private:
+  friend class World;
+  World* world_ = nullptr;
+  int source_id_ = -1;
 };
 
 }  // namespace blunt::sim

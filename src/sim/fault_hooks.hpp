@@ -2,11 +2,12 @@
 //
 // The fault subsystem (src/fault) sits between the network substrate and the
 // scheduler: net::Network consults a FaultLayer on every send (lose?
-// duplicate?) and on every enumeration (is this channel severed by an active
-// partition?), and the World consults it once per scheduler step so
+// duplicate? is this channel severed by an active partition?) and on every
+// enumeration, and the World consults it once per scheduler step so
 // step-indexed faults (partition opens/heals) advance deterministically.
-// Keeping only this interface in sim avoids sim -> fault and net -> fault
-// dependencies, mirroring DeliverySource.
+// Channel state changes only in that per-step call, whose result tells the
+// World when it did. Keeping only this interface in sim avoids sim -> fault
+// and net -> fault dependencies, mirroring DeliverySource.
 //
 // Determinism contract: every FaultLayer decision must be a pure function of
 // the fault plan and the execution so far (per-channel send indices,
@@ -41,13 +42,16 @@ class FaultLayer {
   /// True while the ordered channel from -> to is severed by an active
   /// partition. Severed messages stay in transit (classic partition
   /// semantics: arbitrarily delayed, not lost) and become deliverable once
-  /// the partition heals.
+  /// the partition heals. The answer changes only inside on_step().
   virtual bool channel_blocked(Pid from, Pid to) const = 0;
 
   /// Called by the World at the start of every executed scheduler step, after
   /// the step counter advanced. Step-indexed fault transitions (partition
-  /// opens/heals) fire here and append their own trace entries.
-  virtual void on_step(World& w) = 0;
+  /// opens/heals) fire here and append their own trace entries. Returns true
+  /// when channel_blocked() may now answer differently for some channel; the
+  /// World then re-enumerates every delivery source, since networks report
+  /// no per-message change for the messages a partition hides or reveals.
+  virtual bool on_step(World& w) = 0;
 
   /// True while some step-indexed transition still lies ahead. While true the
   /// World offers a kTick event, so simulated time can advance (and a pending

@@ -61,7 +61,9 @@ int World::attach(DeliverySource& src) {
   oracle_pending_.emplace_back();
   source_caches_.emplace_back();
   const int sid = static_cast<int>(sources_.size()) - 1;
-  src.bind_enabled_index(this, sid);
+  BLUNT_ASSERT(src.world_ == nullptr, "delivery source attached twice");
+  src.world_ = this;
+  src.source_id_ = sid;
   return sid;
 }
 
@@ -91,9 +93,9 @@ bool World::finished() const {
 
 const std::vector<Event>& World::enabled_events() const {
   // Assembled from the incremental enabled-index: bulk-copy the maintained
-  // resume region (merging in re-polled kPolled waiters when any exist),
-  // refresh per-source caches per their enumeration_version() contract, then
-  // append crash region and fault tick. Member buffers are reused across
+  // resume region (merging in re-polled kPolled waiters), enumerate the
+  // sources whose caches are not synced, then append every source cache,
+  // the crash region and the fault tick. Member buffers are reused across
   // scheduler steps: after warm-up, a step enumerates, chooses, and executes
   // without a single allocation (at reduced trace detail). Event::what
   // borrows — from literals, from the parked slots' pending labels, or from
@@ -102,48 +104,30 @@ const std::vector<Event>& World::enabled_events() const {
   const obs::ScopedPhase prof_scope(prof_.get(), obs::Phase::kEnabledScan);
   std::vector<Event>& events = events_buf_;
   events.clear();
-  if (polled_waiters_.empty()) {
-    events.insert(events.end(), resume_events_.begin(), resume_events_.end());
-  } else {
-    // Merge-walk the (pid-sorted) maintained region and polled waiters; a
-    // pid is never in both. Polled waiters keep the pre-index behavior:
-    // their predicate runs on every scan.
-    std::size_t i = 0;
-    const std::size_t nresume = resume_events_.size();
-    for (const Pid pid : polled_waiters_) {
-      while (i < nresume && resume_events_[i].pid < pid) {
-        events.push_back(resume_events_[i++]);
-      }
-      const Slot& s = slots_[pid];
-      BLUNT_ASSERT(s.wait_pred, "blocked process without predicate");
-      if (prof_) prof_->count(obs::ProfCounter::kEventsScanned);
-      if (s.wait_pred()) {
-        events.push_back({Event::Kind::kResume, pid, -1, -1, s.pending_what});
-      }
+  // Merge-walk the (pid-sorted) maintained region and polled waiters; a pid
+  // is never in both. Polled waiters keep the pre-index behavior: their
+  // predicate runs on every scan.
+  std::size_t i = 0;
+  const std::size_t nresume = resume_events_.size();
+  for (const Pid pid : polled_waiters_) {
+    while (i < nresume && resume_events_[i].pid < pid) {
+      events.push_back(resume_events_[i++]);
     }
-    events.insert(events.end(), resume_events_.begin() + i,
-                  resume_events_.end());
+    const Slot& s = slots_[pid];
+    BLUNT_ASSERT(s.wait_pred, "blocked process without predicate");
+    if (prof_) prof_->count(obs::ProfCounter::kEventsScanned);
+    if (s.wait_pred()) {
+      events.push_back({Event::Kind::kResume, pid, -1, -1, s.pending_what});
+    }
   }
+  events.insert(events.end(), resume_events_.begin() + i,
+                resume_events_.end());
   if (prof_ && signaled_blocked_ > 0) {
     prof_->count(obs::ProfCounter::kPredPollsAvoided, signaled_blocked_);
   }
   for (int sid = 0; sid < static_cast<int>(sources_.size()); ++sid) {
     SourceCache& c = source_caches_[sid];
-    const std::int64_t v = sources_[sid]->enumeration_version();
-    if (v == kSourcePushed) {
-      if (!c.push_synced) {
-        rebuild_source_cache(sid);
-        c.push_synced = true;
-      }
-    } else {
-      // Versioned or unversioned: pushes (if any ever arrived) are stale.
-      c.push_synced = false;
-      if (v == kSourceUnversioned || !c.synced || v != c.version_seen) {
-        rebuild_source_cache(sid);
-        c.version_seen = v;
-        c.synced = true;
-      }
-    }
+    if (!c.synced) rebuild_source_cache(sid);
     events.insert(events.end(), c.events.begin(), c.events.end());
   }
   if (crashes_used_ < cfg_.max_crashes) {
@@ -322,6 +306,7 @@ void World::rebuild_source_cache(int sid) const {
     }
     c.events.push_back({Event::Kind::kDeliver, d.to, sid, d.msg_id, sv});
   }
+  c.synced = true;
   if (prof_) {
     prof_->count(obs::ProfCounter::kEventsScanned,
                  static_cast<std::int64_t>(pending.size()));
@@ -346,11 +331,10 @@ void World::source_event_insert(int source_id, int msg_id, Pid to,
                    source_id < static_cast<int>(source_caches_.size()),
                "push from unattached source " << source_id);
   SourceCache& c = source_caches_[source_id];
-  // Deltas arriving before the first sync are dropped; the sync enumerates
-  // the full set.
-  if (!c.push_synced) return;
+  // Until the next sync enumerates the full set, deltas are redundant.
+  if (!c.synced) return;
   BLUNT_ASSERT(c.events.empty() || c.events.back().msg_id < msg_id,
-               "push-mode insert out of msg_id order");
+               "pushed insert out of msg_id order");
   std::string_view sv{};
   if (trace_.wants_what()) {
     c.sums.push_back(std::make_unique<std::string>(std::move(summary)));
@@ -368,12 +352,12 @@ void World::source_event_erase(int source_id, int msg_id) {
                    source_id < static_cast<int>(source_caches_.size()),
                "push from unattached source " << source_id);
   SourceCache& c = source_caches_[source_id];
-  if (!c.push_synced) return;
+  if (!c.synced) return;
   auto it = std::lower_bound(
       c.events.begin(), c.events.end(), msg_id,
       [](const Event& e, int id) { return e.msg_id < id; });
   BLUNT_ASSERT(it != c.events.end() && it->msg_id == msg_id,
-               "push-mode erase of unindexed msg " << msg_id);
+               "pushed erase of unindexed msg " << msg_id);
   if (trace_.wants_what()) {
     c.sums.erase(c.sums.begin() + (it - c.events.begin()));
   }
@@ -384,14 +368,24 @@ void World::source_event_erase(int source_id, int msg_id) {
   }
 }
 
+void World::source_resync(int source_id) {
+  BLUNT_ASSERT(source_id >= 0 &&
+                   source_id < static_cast<int>(source_caches_.size()),
+               "resync of unattached source " << source_id);
+  source_caches_[source_id].synced = false;
+}
+
 void World::execute(const Event& e) {
   const obs::ScopedPhase prof_scope(prof_.get(), obs::Phase::kExecute);
   if (prof_) prof_->count(obs::ProfCounter::kStepsExecuted);
   ++sched_steps_;
   trace_.set_sched_step(sched_steps_);
   // Step-indexed fault transitions (partition opens/heals) fire first, so a
-  // delivery executed at step s sees the channel state of step s.
-  if (fault_layer_ != nullptr) fault_layer_->on_step(*this);
+  // delivery executed at step s sees the channel state of step s. A changed
+  // channel state hides or reveals held messages in every source.
+  if (fault_layer_ != nullptr && fault_layer_->on_step(*this)) {
+    for (SourceCache& c : source_caches_) c.synced = false;
+  }
   switch (e.kind) {
     case Event::Kind::kResume:
       resume_slot(e.pid);

@@ -166,10 +166,7 @@ class Adversary {
                              const std::vector<Event>& enabled) = 0;
 };
 
-/// The World implements EnabledIndexSink so push-mode delivery sources
-/// (net::Network without a fault layer) can maintain the incremental
-/// enabled-index directly instead of being re-enumerated every step.
-class World : public EnabledIndexSink {
+class World {
  public:
   using ProcessBody = std::function<Task<void>(Proc)>;
 
@@ -183,8 +180,9 @@ class World : public EnabledIndexSink {
   Pid add_process(std::string name, ProcessBody body);
 
   /// Registers a message-delivery source (e.g. one net::Network per
-  /// protocol instance). Returns its source id. The source must outlive the
-  /// World's run.
+  /// protocol instance) and binds it to this World under the returned
+  /// source id; it then reports its changes here (see DeliverySource). The
+  /// source must outlive the World's run and be attached only once.
   int attach(DeliverySource& src);
 
   /// Registers a shared object for history bookkeeping; returns object id.
@@ -192,7 +190,8 @@ class World : public EnabledIndexSink {
 
   /// Installs the fault-injection interposition layer (nullptr = none, the
   /// default). While installed, the World calls layer->on_step() on every
-  /// executed step and offers a kTick event whenever layer->tick_pending().
+  /// executed step, resyncs every delivery source when it reports a channel
+  /// change, and offers a kTick event whenever layer->tick_pending().
   /// Networks consult the same layer separately (net::Network::
   /// set_fault_layer); installing one here does not rewire networks.
   void set_fault_layer(FaultLayer* layer) { fault_layer_ = layer; }
@@ -232,14 +231,21 @@ class World : public EnabledIndexSink {
   /// parked). No-op for non-blocked / polled / already-indexed processes.
   void wake_hint(Pid pid);
 
-  // -- EnabledIndexSink (called by push-mode delivery sources) --
+  // -- Enabled-index updates from attached delivery sources --
+  // Inserts and erases are no-ops while the source's cache is unsynced
+  // (from attach or a resync until the next scan): the enumeration that
+  // scan performs already reflects them.
 
+  /// Message `msg_id`, addressed to `to`, became deliverable. Inserts arrive
+  /// in strictly increasing msg_id order per source. `summary` is consulted
+  /// only at full trace detail (wants_what()) and may be empty otherwise.
   void source_event_insert(int source_id, int msg_id, Pid to,
-                           std::string&& summary) override;
-  void source_event_erase(int source_id, int msg_id) override;
-  [[nodiscard]] bool source_wants_summaries() const override {
-    return trace_.wants_what();
-  }
+                           std::string&& summary);
+  /// Message `msg_id` is no longer deliverable (delivered or dropped).
+  void source_event_erase(int source_id, int msg_id);
+  /// What the source enumerates changed in a way it does not report per
+  /// message; the next scan re-enumerates it.
+  void source_resync(int source_id);
 
   // -- Observation (adversaries, checkers, tests) --
 
@@ -345,14 +351,12 @@ class World : public EnabledIndexSink {
   // Per-source slice of the incremental enabled-index: this source's
   // deliverable events in msg_id order, plus stable storage for their
   // formatted summaries (only populated at full trace detail; unique_ptr so
-  // the Event string_views survive vector growth). Refreshed per the
-  // source's enumeration_version() contract, or maintained by push deltas.
+  // the Event string_views survive vector growth). Rebuilt by enumeration
+  // when not synced, otherwise maintained by the source's pushed changes.
   struct SourceCache {
     std::vector<Event> events;
     std::vector<std::unique_ptr<std::string>> sums;
-    std::int64_t version_seen = 0;
-    bool synced = false;       // versioned mode: version_seen is meaningful
-    bool push_synced = false;  // push mode: deltas are being applied
+    bool synced = false;
   };
 
   void resume_slot(Pid pid);

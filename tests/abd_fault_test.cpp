@@ -96,7 +96,7 @@ class DuplicateEverything final : public sim::FaultLayer {
   [[nodiscard]] bool channel_blocked(Pid, Pid) const override {
     return false;
   }
-  void on_step(sim::World&) override {}
+  bool on_step(sim::World&) override { return false; }
   [[nodiscard]] bool tick_pending(const sim::World&) const override {
     return false;
   }

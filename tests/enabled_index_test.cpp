@@ -6,10 +6,11 @@
 // wait predicate, re-enumerating every delivery source) and BLUNT_ASSERTs
 // byte equality element by element. These tests drive that oracle through
 // every index code path — resume-region replace/erase/insert, polled and
-// signaled waits, pushed network deltas, version-stamped resend tokens, the
-// fault-layer push latch, crashes, and fault ticks — at all three
-// trace-detail levels, and additionally pin the flag-off run to the flag-on
-// fingerprint (the oracle must observe, never perturb).
+// signaled waits, pushed network changes, resend-token resyncs, partitions
+// that hide and reveal held messages, crashes with messages held, a fault
+// layer installed mid-run, and fault ticks — at all three trace-detail
+// levels, and additionally pin the flag-off run to the flag-on fingerprint
+// (the oracle must observe, never perturb).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +21,7 @@
 
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "net/network.hpp"
 #include "objects/abd.hpp"
 #include "programs/weakener.hpp"
 #include "sim/adversaries.hpp"
@@ -55,6 +57,7 @@ struct Outcome {
   sim::RunStatus status = sim::RunStatus::kCompleted;
   int steps = 0;
   std::uint64_t hash = 0;  // every offered event, content included
+  int partitions_healed = 0;  // fault-plan runs: heals during the run
 };
 
 /// Weakener over ABD^k: the headline workload. Signaled quorum waits plus
@@ -89,13 +92,11 @@ Outcome run_weakener(int k, int n, std::uint64_t seed, sim::TraceDetail d,
   return {res.status, res.steps, adv.h_};
 }
 
-/// Chaos world: fault plan (crashes, partitions, loss, duplication, ticks),
-/// retransmission tokens (version-stamped source), fault layer set BEFORE
-/// the first step (push latch engaged — the network is rescanned).
-Outcome run_chaos(std::uint64_t seed, int k, sim::TraceDetail d,
-                  bool verify) {
-  const fault::FaultPlan plan = fault::random_plan(
-      fault::mix64(seed * 2 + static_cast<std::uint64_t>(k)), {});
+/// Chaos world: fault plan (crashes, partitions, loss, duplication, ticks)
+/// and retransmission tokens (a source that resyncs on every token change),
+/// with the fault layer set before the first step.
+Outcome run_chaos_plan(const fault::FaultPlan& plan, std::uint64_t seed,
+                       int k, sim::TraceDetail d, bool verify) {
   sim::World w(
       sim::Config{.max_crashes = static_cast<int>(plan.crashes.size()),
                   .metrics = false,
@@ -120,7 +121,15 @@ Outcome run_chaos(std::uint64_t seed, int k, sim::TraceDetail d,
   fault::ChaosAdversary chaos(uniform, injector.plan(), &injector);
   HashingAdversary adv(chaos);
   const sim::RunResult res = w.run(adv);
-  return {res.status, res.steps, adv.h_};
+  return {res.status, res.steps, adv.h_, injector.partitions_healed()};
+}
+
+Outcome run_chaos(std::uint64_t seed, int k, sim::TraceDetail d,
+                  bool verify) {
+  return run_chaos_plan(
+      fault::random_plan(
+          fault::mix64(seed * 2 + static_cast<std::uint64_t>(k)), {}),
+      seed, k, d, verify);
 }
 
 constexpr sim::TraceDetail kLevels[] = {
@@ -167,6 +176,189 @@ TEST(EnabledIndex, ChaosMatchesRescanOracleAtEveryDetailLevel) {
         EXPECT_EQ(on.status, off.status);
         EXPECT_EQ(on.steps, off.steps);
         if (d == sim::TraceDetail::kFull) EXPECT_EQ(on.hash, off.hash);
+      }
+    }
+  }
+}
+
+TEST(EnabledIndex, ShortHorizonPartitionsMatchRescanOracle) {
+  // random_plan's default 4000-step horizon mostly places partitions after
+  // a chaos ABD run (a few hundred steps) has finished. Short horizons open
+  // and heal them mid-run, while messages are in flight: the World must
+  // resync every source on each open and heal.
+  int runs_with_heal = 0;
+  for (const int n : {3, 5}) {
+    for (const int k : {1, 2}) {
+      for (const int horizon : {60, 150, 300}) {
+        for (std::uint64_t seed = 0; seed < 6; ++seed) {
+          const fault::PlanOptions opts{.num_processes = n,
+                                        .horizon_steps = horizon,
+                                        .min_partition_len = 10,
+                                        .max_partition_len = horizon};
+          const fault::FaultPlan plan = fault::random_plan(
+              fault::mix64(seed * 977 + static_cast<std::uint64_t>(
+                                            horizon * 10 + n * 2 + k)),
+              opts);
+          const Outcome off = run_chaos_plan(plan, seed, k,
+                                             sim::TraceDetail::kFull,
+                                             /*verify=*/false);
+          for (const sim::TraceDetail d :
+               {sim::TraceDetail::kFull, sim::TraceDetail::kNone}) {
+            const Outcome on = run_chaos_plan(plan, seed, k, d,
+                                              /*verify=*/true);
+            EXPECT_EQ(on.status, off.status) << plan.to_string();
+            EXPECT_EQ(on.steps, off.steps) << plan.to_string();
+            if (d == sim::TraceDetail::kFull) {
+              EXPECT_EQ(on.hash, off.hash) << plan.to_string();
+            }
+          }
+          if (off.partitions_healed > 0) ++runs_with_heal;
+        }
+      }
+    }
+  }
+  // The sweep must actually reach the path it exists for.
+  EXPECT_GE(runs_with_heal, 10);
+}
+
+struct Note {
+  int tag = 0;
+  [[nodiscard]] std::string summary() const {
+    return "note" + std::to_string(tag);
+  }
+};
+
+/// Held-message crash world: a partition isolates p1 from step 1 to
+/// `heal`; p0 sends p1 a note that the partition holds, p1 sends itself a
+/// deliverable note and p2 a held one, then blocks. The plan crashes p1 at
+/// step 6, while one note to it is held and one is deliverable; after the
+/// heal, p2 receives the note the crashed p1 sent before dying.
+Outcome run_held_crash(int heal, sim::TraceDetail d, bool verify) {
+  fault::FaultPlan plan;
+  plan.num_processes = 3;
+  plan.partitions.push_back({/*side_mask=*/0b010, /*open=*/0, heal});
+  plan.crashes.push_back({/*at_step=*/6, /*pid=*/1});
+  sim::World w(sim::Config{.max_crashes = 1,
+                           .trace_detail = d,
+                           .verify_enabled_index = verify},
+               std::make_unique<sim::SeededCoin>(1));
+  fault::FaultInjector injector(plan, w);
+  net::Network<Note> net("N", 3, &w.trace_mutable());
+  std::vector<int> got(3, 0);
+  for (Pid pid = 0; pid < 3; ++pid) {
+    net.set_handler(pid, [&got](Pid to, Pid, const Note&) { ++got[to]; });
+  }
+  w.attach(net);
+  net.set_fault_layer(&injector);
+  w.add_process("p0", [&net](sim::Proc p) -> sim::Task<void> {
+    co_await p.yield(sim::StepKind::kSend, "to-p1");
+    net.send(p.pid(), 1, {1});
+  });
+  w.add_process("p1", [&net, &got](sim::Proc p) -> sim::Task<void> {
+    co_await p.yield(sim::StepKind::kSend, "to-self");
+    net.send(p.pid(), 1, {2});
+    co_await p.yield(sim::StepKind::kSend, "to-p2");
+    net.send(p.pid(), 2, {3});
+    co_await p.wait_until([&got] { return got[1] == 2; }, "both-notes");
+  });
+  w.add_process("p2", [&got](sim::Proc p) -> sim::Task<void> {
+    co_await p.wait_until([&got] { return got[2] == 1; }, "note-from-p1");
+  });
+  sim::FirstEnabledAdversary first;
+  fault::ChaosAdversary chaos(first, injector.plan(), &injector);
+  HashingAdversary adv(chaos);
+  const sim::RunResult res = w.run(adv);
+  EXPECT_TRUE(w.crashed(1));
+  EXPECT_EQ(got[1], 0);  // neither note reached p1 before it crashed
+  EXPECT_EQ(got[2], 1);  // the held note of the crashed sender survived
+  EXPECT_EQ(net.in_transit_count(), 0);
+  EXPECT_EQ(injector.partitions_healed(), 1);
+  return {res.status, res.steps, adv.h_, injector.partitions_healed()};
+}
+
+TEST(EnabledIndex, CrashWhileMessageHeldMatchesRescanOracle) {
+  for (const int heal : {8, 20}) {
+    const Outcome off =
+        run_held_crash(heal, sim::TraceDetail::kFull, /*verify=*/false);
+    EXPECT_EQ(off.status, sim::RunStatus::kCompleted);
+    for (const sim::TraceDetail d : kLevels) {
+      const Outcome on = run_held_crash(heal, d, /*verify=*/true);
+      EXPECT_EQ(on.status, off.status);
+      EXPECT_EQ(on.steps, off.steps);
+      if (d == sim::TraceDetail::kFull) {
+        EXPECT_EQ(on.hash, off.hash);
+      }
+    }
+  }
+}
+
+/// Severs the ordered channel from -> to for as long as it is installed.
+/// Its answer never changes, so only installing and removing it moves
+/// messages in or out of the enabled set.
+class SeverChannel final : public sim::FaultLayer {
+ public:
+  SeverChannel(Pid from, Pid to) : from_(from), to_(to) {}
+  sim::SendFate on_send(const std::string&, Pid, Pid) override { return {}; }
+  [[nodiscard]] bool channel_blocked(Pid from, Pid to) const override {
+    return from == from_ && to == to_;
+  }
+  bool on_step(sim::World&) override { return false; }
+  [[nodiscard]] bool tick_pending(const sim::World&) const override {
+    return false;
+  }
+
+ private:
+  Pid from_;
+  Pid to_;
+};
+
+/// p0 sends p1 and p2 a note each, installs a layer severing p0 -> p1 on
+/// the attached network (hiding the first note if still in transit), sends
+/// p1 a second note under it, then removes the layer (revealing both).
+Outcome run_late_layer(std::uint64_t seed, sim::TraceDetail d, bool verify) {
+  sim::World w(sim::Config{.trace_detail = d, .verify_enabled_index = verify},
+               std::make_unique<sim::SeededCoin>(seed));
+  net::Network<Note> net("N", 3, &w.trace_mutable());
+  std::vector<int> got(3, 0);
+  for (Pid pid = 0; pid < 3; ++pid) {
+    net.set_handler(pid, [&got](Pid to, Pid, const Note&) { ++got[to]; });
+  }
+  w.attach(net);
+  SeverChannel sever(0, 1);
+  w.add_process("p0", [&net, &sever](sim::Proc p) -> sim::Task<void> {
+    co_await p.yield(sim::StepKind::kSend, "notes");
+    net.send(p.pid(), 1, {1});
+    net.send(p.pid(), 2, {2});
+    co_await p.yield(sim::StepKind::kLocal, "sever");
+    net.set_fault_layer(&sever);
+    co_await p.yield(sim::StepKind::kSend, "severed-note");
+    net.send(p.pid(), 1, {3});
+    co_await p.yield(sim::StepKind::kLocal, "restore");
+    net.set_fault_layer(nullptr);
+  });
+  w.add_process("p1", [&got](sim::Proc p) -> sim::Task<void> {
+    co_await p.wait_until([&got] { return got[1] == 2; }, "two-notes");
+  });
+  w.add_process("p2", [&got](sim::Proc p) -> sim::Task<void> {
+    co_await p.wait_until([&got] { return got[2] == 1; }, "one-note");
+  });
+  sim::UniformAdversary uniform(seed);
+  HashingAdversary adv(uniform);
+  const sim::RunResult res = w.run(adv);
+  return {res.status, res.steps, adv.h_};
+}
+
+TEST(EnabledIndex, FaultLayerInstalledMidRunMatchesRescanOracle) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Outcome off =
+        run_late_layer(seed, sim::TraceDetail::kFull, /*verify=*/false);
+    EXPECT_EQ(off.status, sim::RunStatus::kCompleted);
+    for (const sim::TraceDetail d : kLevels) {
+      const Outcome on = run_late_layer(seed, d, /*verify=*/true);
+      EXPECT_EQ(on.status, off.status);
+      EXPECT_EQ(on.steps, off.steps);
+      if (d == sim::TraceDetail::kFull) {
+        EXPECT_EQ(on.hash, off.hash);
       }
     }
   }

@@ -36,19 +36,19 @@
 // collapsed-stack flamegraph lands next to the report as
 // BENCH_<name>.flame.txt. Exact profile counters are bit-identical for every
 // --threads value; the nanosecond timings are advisory wall-clock.
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <system_error>
 #include <vector>
 
+#include "exp/parse.hpp"
 #include "exp/progress.hpp"
 #include "exp/runner.hpp"
 
 namespace {
+
+using blunt::exp::parse_number;
 
 int list_experiments() {
   blunt::exp::register_builtin_experiments();
@@ -74,21 +74,6 @@ int usage(const char* argv0) {
       "       %s watch FILE [--poll MS]\n",
       argv0, argv0, argv0);
   return 2;
-}
-
-/// Parses all of `text` as a base-10 number; empty input, trailing
-/// characters and overflow print an error naming `flag` and exit 2.
-template <typename T>
-T parse_number(const std::string& flag, const std::string& text) {
-  T v{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (text.empty() || ec != std::errc() || ptr != end) {
-    std::fprintf(stderr, "%s: '%s' is not a valid number\n", flag.c_str(),
-                 text.c_str());
-    std::exit(2);
-  }
-  return v;
 }
 
 int watch_main(int argc, char** argv, const char* argv0) {
