@@ -5,6 +5,10 @@
 // this header re-exports them under the historical blunt::bench names.
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
+
 #include "exp/workloads.hpp"
 
 namespace blunt::bench {
@@ -18,8 +22,18 @@ using exp::merge_probe;
 using exp::set_bernoulli_metric;
 using exp::set_exact_probability;
 using exp::set_thm42_instance;
-using exp::write_report;
 using exp::print_header;
 using exp::print_rule;
+
+/// exp::write_report for the standalone bench mains: a report that cannot
+/// be written ends the bench with exit code 1, naming the path.
+inline void write_report(obs::BenchReport& report) {
+  try {
+    exp::write_report(report);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench report FAILED: %s\n", e.what());
+    std::exit(1);
+  }
+}
 
 }  // namespace blunt::bench

@@ -45,7 +45,7 @@ class Explorer {
     BLUNT_ASSERT(inst.coin != nullptr, "Instance without scripted coin");
 
     for (std::size_t i = 0; i < choices.size(); ++i) {
-      const std::vector<sim::Event> events = w.enabled_events();
+      const sim::EnabledView events = w.enabled_events();
       BLUNT_ASSERT(choices[i] < events.size(), "stale choice during replay");
       w.execute(events[choices[i]]);
       if (inst.coin->overflow_draws() > 0) {
@@ -74,11 +74,11 @@ class Explorer {
       return inst.bad() ? Rational(1) : Rational(0);
     }
 
-    const std::vector<sim::Event> events = w.enabled_events();
-    BLUNT_ASSERT(!events.empty(), "explorer hit a deadlock");
+    const std::size_t num_events = w.enabled_events().size();
+    BLUNT_ASSERT(num_events > 0, "explorer hit a deadlock");
     Rational best;
     bool first = true;
-    for (std::size_t i = 0; i < events.size(); ++i) {
+    for (std::size_t i = 0; i < num_events; ++i) {
       std::vector<std::size_t> next = choices;
       next.push_back(i);
       const Rational v = node(next, coins);

@@ -78,7 +78,7 @@ ScriptedAdversary& ScriptedAdversary::branch(
 }
 
 std::size_t ScriptedAdversary::choose(const sim::World& w,
-                                      const std::vector<sim::Event>& enabled) {
+                                      const sim::EnabledView& enabled) {
   for (;;) {
     if (pos_ >= entries_.size()) {
       ++overflow_steps_;
@@ -96,8 +96,10 @@ std::size_t ScriptedAdversary::choose(const sim::World& w,
     }
     if (cur.match) {
       ++pos_;
-      for (std::size_t i = 0; i < enabled.size(); ++i) {
-        if (cur.match(w, enabled[i])) return i;
+      std::size_t i = 0;
+      for (const sim::Event& e : enabled) {
+        if (cur.match(w, e)) return i;
+        ++i;
       }
       BLUNT_UNREACHABLE("scripted step '" << cur.name
                                           << "' matched no enabled event");
@@ -108,8 +110,10 @@ std::size_t ScriptedAdversary::choose(const sim::World& w,
       continue;
     }
     for (const Matcher& m : cur.priorities) {
-      for (std::size_t i = 0; i < enabled.size(); ++i) {
-        if (m(w, enabled[i])) return i;
+      std::size_t i = 0;
+      for (const sim::Event& e : enabled) {
+        if (m(w, e)) return i;
+        ++i;
       }
     }
     BLUNT_UNREACHABLE("drive '" << cur.name

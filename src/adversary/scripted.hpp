@@ -67,7 +67,7 @@ class ScriptedAdversary final : public sim::Adversary {
       std::function<void(const sim::World&, ScriptedAdversary&)> expand);
 
   std::size_t choose(const sim::World& w,
-                     const std::vector<sim::Event>& enabled) override;
+                     const sim::EnabledView& enabled) override;
 
   [[nodiscard]] int overflow_steps() const { return overflow_steps_; }
   [[nodiscard]] bool script_finished() const { return pos_ >= entries_.size(); }

@@ -37,15 +37,15 @@ std::string to_string(const EventDescriptor& d) {
 }
 
 std::size_t RecordingAdversary::choose(const sim::World& w,
-                                       const std::vector<sim::Event>& enabled) {
+                                       const sim::EnabledView& enabled) {
   const std::size_t idx = inner_->choose(w, enabled);
   BLUNT_ASSERT(idx < enabled.size(), "inner adversary chose out of range");
   schedule_.push_back(describe(enabled[idx]));
   return idx;
 }
 
-std::size_t EventReplayAdversary::choose(
-    const sim::World&, const std::vector<sim::Event>& enabled) {
+std::size_t EventReplayAdversary::choose(const sim::World&,
+                                         const sim::EnabledView& enabled) {
   if (enabled.empty()) {
     // Out of contract (the world never offers an empty set), but a hardened
     // replayer answers deterministically instead of indexing into nothing.
@@ -54,11 +54,13 @@ std::size_t EventReplayAdversary::choose(
   }
   while (pos_ < schedule_.size()) {
     const EventDescriptor& d = schedule_[pos_];
-    for (std::size_t i = 0; i < enabled.size(); ++i) {
-      if (matches(d, enabled[i])) {
+    std::size_t i = 0;
+    for (const sim::Event& e : enabled) {
+      if (matches(d, e)) {
         ++pos_;
         return i;
       }
+      ++i;
     }
     // The described event does not exist in this (perturbed) execution —
     // one of its causes was shrunk away. Drop it and move on.

@@ -55,7 +55,7 @@ class RecordingAdversary final : public sim::Adversary {
   explicit RecordingAdversary(sim::Adversary& inner) : inner_(&inner) {}
 
   std::size_t choose(const sim::World& w,
-                     const std::vector<sim::Event>& enabled) override;
+                     const sim::EnabledView& enabled) override;
 
   [[nodiscard]] const std::vector<EventDescriptor>& schedule() const {
     return schedule_;
@@ -81,7 +81,7 @@ class EventReplayAdversary final : public sim::Adversary {
       : schedule_(std::move(schedule)) {}
 
   std::size_t choose(const sim::World& w,
-                     const std::vector<sim::Event>& enabled) override;
+                     const sim::EnabledView& enabled) override;
 
   /// Descriptors that matched no enabled event when their turn came.
   [[nodiscard]] int skipped() const { return skipped_; }

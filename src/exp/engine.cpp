@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -320,10 +321,23 @@ struct PassResult {
   if (workers <= 1) {
     worker(0);
   } else {
+    // A trial that throws stops the pass: the other workers claim no new
+    // shard, and the first error is rethrown here, on the caller's thread.
+    std::exception_ptr failure;
+    const auto guarded = [&](int wi) {
+      try {
+        worker(wi);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(writer_mu);
+        if (!failure) failure = std::current_exception();
+        next_shard.store(l.num_shards);
+      }
+    };
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(workers));
-    for (int t = 0; t < workers; ++t) pool.emplace_back(worker, t);
+    for (int t = 0; t < workers; ++t) pool.emplace_back(guarded, t);
     for (std::thread& t : pool) t.join();
+    if (failure) std::rethrow_exception(failure);
   }
 
   pass.shards_executed = executed.load();
@@ -348,14 +362,14 @@ class ProgressSampler {
   ProgressSampler(const ProgressSampler&) = delete;
   ProgressSampler& operator=(const ProgressSampler&) = delete;
 
+  /// A run that throws stops the sampler without a final record.
+  ~ProgressSampler() {
+    if (thread_.joinable()) stop();
+  }
+
   /// Stops sampling and writes the final done=true record.
   void finish(bool complete) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
+    stop();
     ProgressSample s =
         make_progress_sample(e_, l_, threads_, st_, sink_, elapsed_ms());
     s.done = true;
@@ -368,6 +382,15 @@ class ProgressSampler {
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0_)
         .count();
+  }
+
+  void stop() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
   }
 
   void write(const ProgressSample& s) {

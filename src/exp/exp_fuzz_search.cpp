@@ -356,7 +356,6 @@ int fuzz_finalize(obs::BenchReport& report, const Accumulator& acc,
   }
 
   report_coverage(report, acc, info);
-  write_report(report);
   return exit_code;
 }
 

@@ -91,7 +91,15 @@ int run_registered(const std::string& name, const RunOptions& opts) {
                  name.c_str());
     return 2;
   }
-  return run_and_report(*e, opts);
+  // The one place a failed run is reported: a report or corpus file that
+  // cannot be written (the message names its path), or any other error a
+  // trial raised.
+  try {
+    return run_and_report(*e, opts);
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "%s FAILED: %s\n", name.c_str(), ex.what());
+    return 1;
+  }
 }
 
 int run_experiment_main(const std::string& name) {

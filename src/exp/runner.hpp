@@ -12,7 +12,8 @@
 namespace blunt::exp {
 
 /// Runs `e` under `opts` and writes its report. Returns the process exit
-/// code (the finalize hook's, usually 0).
+/// code (the finalize hook's, usually 0). Throws when a trial fails or the
+/// report cannot be written.
 ///
 /// Engine provenance lands in the report's environment section
 /// (engine_threads, engine_shard_size, engine_seed, engine_trials,
@@ -27,7 +28,9 @@ namespace blunt::exp {
 int run_and_report(const Experiment& e, const RunOptions& opts);
 
 /// Looks `name` up in the registry (registering builtins first) and runs it.
-/// Unknown names print to stderr and return 2.
+/// Unknown names print to stderr and return 2; a run that throws (a trial
+/// error, or a report or corpus file that cannot be written) prints the
+/// error, which names the file, and returns 1.
 int run_registered(const std::string& name, const RunOptions& opts);
 
 /// Entry point for the thin bench mains (bench_<name> binaries): runs the

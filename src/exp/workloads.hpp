@@ -176,15 +176,11 @@ inline void set_thm42_instance(obs::BenchReport& report, int k, int r, int n,
 /// Writes BENCH_<name>.json, appends the stamped report to the experiment
 /// ledger (BENCH_HISTORY.jsonl; opt out with BLUNT_LEDGER=0), and echoes
 /// where both went (kept on single lines so the human tables above stay the
-/// primary console artifact).
+/// primary console artifact). Throws, naming the path, when the report
+/// cannot be written; a failed ledger append is only reported.
 inline void write_report(obs::BenchReport& report) {
-  try {
-    const std::string path = report.write();
-    std::printf("\nbench report: %s\n", path.c_str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench report FAILED: %s\n", e.what());
-    return;
-  }
+  const std::string path = report.write();
+  std::printf("\nbench report: %s\n", path.c_str());
   if (!obs::ledger_enabled()) return;
   try {
     const std::string ledger = obs::append_report(report.to_json());

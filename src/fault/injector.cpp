@@ -134,7 +134,7 @@ ChaosAdversary::ChaosAdversary(sim::Adversary& inner, const FaultPlan& plan,
     : inner_(inner), plan_(plan), injector_(injector) {}
 
 std::size_t ChaosAdversary::choose(const sim::World& w,
-                                   const std::vector<sim::Event>& enabled) {
+                                   const sim::EnabledView& enabled) {
   // Execute due scripted crashes first. A due crash whose victim is already
   // finished (or whose event is otherwise gone) is skipped permanently.
   while (crash_idx_ < plan_.crashes.size() &&
@@ -142,13 +142,12 @@ std::size_t ChaosAdversary::choose(const sim::World& w,
     const Pid victim = plan_.crashes[crash_idx_].pid;
     bool found = false;
     std::size_t found_idx = 0;
-    for (std::size_t i = 0; i < enabled.size(); ++i) {
-      if (enabled[i].kind == sim::Event::Kind::kCrash &&
-          enabled[i].pid == victim) {
+    for (const sim::Event& e : enabled) {
+      if (e.kind == sim::Event::Kind::kCrash && e.pid == victim) {
         found = true;
-        found_idx = i;
         break;
       }
+      ++found_idx;
     }
     ++crash_idx_;
     if (found) {
@@ -157,19 +156,11 @@ std::size_t ChaosAdversary::choose(const sim::World& w,
     }
   }
   // Hide crash events from the inner adversary: only the plan crashes.
-  std::vector<sim::Event> filtered;
-  std::vector<std::size_t> back;
-  filtered.reserve(enabled.size());
-  back.reserve(enabled.size());
-  for (std::size_t i = 0; i < enabled.size(); ++i) {
-    if (enabled[i].kind == sim::Event::Kind::kCrash) continue;
-    filtered.push_back(enabled[i]);
-    back.push_back(i);
-  }
-  if (filtered.empty()) return 0;  // only crash events left; pick any
-  const std::size_t idx = inner_.choose(w, filtered);
-  BLUNT_ASSERT(idx < filtered.size(), "inner adversary chose out of range");
-  return back[idx];
+  const sim::EnabledView rest = enabled.without_crashes();
+  if (rest.empty()) return 0;  // only crash events left; pick any
+  const std::size_t idx = inner_.choose(w, rest);
+  BLUNT_ASSERT(idx < rest.size(), "inner adversary chose out of range");
+  return enabled.with_crashes_index(idx);
 }
 
 }  // namespace blunt::fault

@@ -77,17 +77,18 @@ class FaultInjector final : public sim::FaultLayer {
 
 /// Wraps an inner adversary and executes the plan's crash schedule: at the
 /// first opportunity at or after each CrashAt::at_step it picks the kCrash
-/// event of the scripted victim. All other kCrash events are hidden from the
-/// inner adversary, so the plan's crashes — and only the plan's crashes —
-/// happen, at deterministic points. (Configure the world with max_crashes >=
-/// plan.crashes.size() so the events exist.)
+/// event of the scripted victim. The World's crash segment is hidden from
+/// the inner adversary (EnabledView::without_crashes), so the plan's crashes
+/// — and only the plan's crashes — happen, at deterministic points.
+/// (Configure the world with max_crashes >= plan.crashes.size() so the
+/// events exist.)
 class ChaosAdversary final : public sim::Adversary {
  public:
   ChaosAdversary(sim::Adversary& inner, const FaultPlan& plan,
                  FaultInjector* injector = nullptr);
 
   std::size_t choose(const sim::World& w,
-                     const std::vector<sim::Event>& enabled) override;
+                     const sim::EnabledView& enabled) override;
 
  private:
   sim::Adversary& inner_;

@@ -16,25 +16,28 @@ namespace blunt::fuzz {
 // PrefixThenBiased
 
 std::size_t PrefixThenBiased::choose(const sim::World& w,
-                                     const std::vector<sim::Event>& enabled) {
+                                     const sim::EnabledView& enabled) {
   (void)w;
   while (pos_ < prefix_.size()) {
     const auto& d = prefix_[pos_];
-    for (std::size_t i = 0; i < enabled.size(); ++i) {
-      if (adversary::matches(d, enabled[i])) {
+    std::size_t i = 0;
+    for (const sim::Event& e : enabled) {
+      if (adversary::matches(d, e)) {
         ++pos_;
         return i;
       }
+      ++i;
     }
     ++pos_;
     ++skipped_;
   }
   r_events_.clear();
-  for (std::size_t i = 0; i < enabled.size(); ++i) {
-    if (enabled[i].kind == sim::Event::Kind::kDeliver &&
-        enabled[i].what.substr(0, 2) == "R ") {
+  std::size_t i = 0;
+  for (const sim::Event& e : enabled) {
+    if (e.kind == sim::Event::Kind::kDeliver && e.what.substr(0, 2) == "R ") {
       r_events_.push_back(i);
     }
+    ++i;
   }
   if (!r_events_.empty() && (rng_() & 3u) != 0) {
     return r_events_[rng_() % r_events_.size()];
@@ -318,7 +321,7 @@ struct Spy final : sim::Adversary {
            (old3 ? 1 : 0) + (missed ? 1 : 0);
   }
   std::size_t choose(const sim::World& world,
-                     const std::vector<sim::Event>& enabled) override {
+                     const sim::EnabledView& enabled) override {
     const std::size_t idx = inner.choose(world, enabled);
     chosen.push_back(adversary::describe(enabled[idx]));
     if (!saw && is_program_coin_desc(chosen.back())) {

@@ -129,14 +129,16 @@ class PrefixThenUniform final : public sim::Adversary {
       : prefix_(prefix), uni_(tail_seed) {}
 
   std::size_t choose(const sim::World& w,
-                     const std::vector<sim::Event>& enabled) override {
+                     const sim::EnabledView& enabled) override {
     while (pos_ < prefix_.size()) {
       const auto& d = prefix_[pos_];
-      for (std::size_t i = 0; i < enabled.size(); ++i) {
-        if (adversary::matches(d, enabled[i])) {
+      std::size_t i = 0;
+      for (const sim::Event& e : enabled) {
+        if (adversary::matches(d, e)) {
           ++pos_;
           return i;
         }
+        ++i;
       }
       ++pos_;
       ++skipped_;
@@ -164,7 +166,7 @@ class PrefixThenBiased final : public sim::Adversary {
       : prefix_(prefix), rng_(tail_seed) {}
 
   std::size_t choose(const sim::World& w,
-                     const std::vector<sim::Event>& enabled) override;
+                     const sim::EnabledView& enabled) override;
 
   [[nodiscard]] long skipped() const { return skipped_; }
 
@@ -184,7 +186,7 @@ class ScheduleRecorder final : public sim::Adversary {
   explicit ScheduleRecorder(sim::Adversary& inner) : inner_(inner) {}
 
   std::size_t choose(const sim::World& w,
-                     const std::vector<sim::Event>& enabled) override {
+                     const sim::EnabledView& enabled) override {
     const std::size_t idx = inner_.choose(w, enabled);
     chosen_.push_back(adversary::describe(enabled[idx]));
     return idx;

@@ -29,6 +29,12 @@
 // Which channels are severed changes only when a partition opens or heals,
 // after which the World re-enumerates every source (FaultLayer::on_step),
 // or when set_fault_layer swaps the layer, which resyncs this network.
+//
+// Storage: a delivery or crash-drop tombstones its envelope in place rather
+// than erasing it from the middle of the in-transit vector (which would
+// move every later envelope and its payload). Dead slots are compacted away
+// only once they outnumber the live ones, so a delivery costs O(log n)
+// amortized however many messages are in flight.
 #pragma once
 
 #include <algorithm>
@@ -157,7 +163,7 @@ class Network final : public sim::DeliverySource {
         if (duplicated_counter_ != nullptr) duplicated_counter_->inc();
       }
       // ids are monotone, so the vector stays sorted by append.
-      in_transit_.push_back(Envelope{id, from, to, msg});
+      in_transit_.push_back(Envelope{id, from, to, msg, false});
       if (world() != nullptr && !severed(from, to)) {
         world()->source_event_insert(
             source_id(), id, to,
@@ -178,6 +184,7 @@ class Network final : public sim::DeliverySource {
   void enumerate(std::vector<sim::PendingDelivery>& out,
                  bool want_summaries) const override {
     for (const Envelope& env : in_transit_) {
+      if (env.dead) continue;
       if (severed(env.from, env.to)) {
         continue;  // held by a partition until it heals
       }
@@ -190,36 +197,42 @@ class Network final : public sim::DeliverySource {
 
   void deliver(int msg_id) override {
     auto it = find_in_transit(msg_id);
-    BLUNT_ASSERT(it != in_transit_.end() && it->id == msg_id,
+    BLUNT_ASSERT(it != in_transit_.end() && it->id == msg_id && !it->dead,
                  "deliver of unknown msg " << msg_id);
-    Envelope env = std::move(*it);
-    in_transit_.erase(it);
+    // The handler may send, growing in_transit_: take the payload out first.
+    const Pid from = it->from;
+    const Pid to = it->to;
+    const M payload = std::move(it->payload);
+    it->dead = true;
+    ++dead_;
+    compact_if_sparse();
     if (world() != nullptr) world()->source_event_erase(source_id(), msg_id);
-    BLUNT_ASSERT(!crashed_[static_cast<std::size_t>(env.to)],
-                 "deliver to crashed p" << env.to);
+    BLUNT_ASSERT(!crashed_[static_cast<std::size_t>(to)],
+                 "deliver to crashed p" << to);
     ++messages_delivered_;
     if (delivered_counter_ != nullptr) delivered_counter_->inc();
-    const Handler& h = handlers_[static_cast<std::size_t>(env.to)];
-    BLUNT_ASSERT(h, "no handler registered for p" << env.to << " on "
-                                                  << name_);
-    h(env.to, env.from, env.payload);
+    const Handler& h = handlers_[static_cast<std::size_t>(to)];
+    BLUNT_ASSERT(h, "no handler registered for p" << to << " on " << name_);
+    h(to, from, payload);
   }
 
   void on_crash(Pid pid) override {
     crashed_[static_cast<std::size_t>(pid)] = 1;
-    for (const Envelope& env : in_transit_) {
-      if (env.to != pid) continue;
+    for (Envelope& env : in_transit_) {
+      if (env.dead || env.to != pid) continue;
       if (dropped_counter_ != nullptr) dropped_counter_->inc();
       if (world() != nullptr && !severed(env.from, env.to)) {
         world()->source_event_erase(source_id(), env.id);
       }
+      env.dead = true;
+      ++dead_;
     }
-    std::erase_if(in_transit_,
-                  [pid](const Envelope& e) { return e.to == pid; });
+    compact_if_sparse();
   }
 
   void describe_pending(std::vector<std::string>& out) const override {
     for (const Envelope& env : in_transit_) {
+      if (env.dead) continue;
       const bool blocked = severed(env.from, env.to);
       out.push_back(name_ + " msg" + std::to_string(env.id) + " p" +
                     std::to_string(env.from) + "→p" + std::to_string(env.to) +
@@ -232,7 +245,7 @@ class Network final : public sim::DeliverySource {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] int in_transit_count() const {
-    return static_cast<int>(in_transit_.size());
+    return static_cast<int>(in_transit_.size()) - dead_;
   }
   [[nodiscard]] int messages_sent() const { return messages_sent_; }
   [[nodiscard]] int messages_delivered() const { return messages_delivered_; }
@@ -247,7 +260,12 @@ class Network final : public sim::DeliverySource {
     Pid from;
     Pid to;
     M payload;
+    bool dead;  // tombstone: delivered or crash-dropped, awaiting compaction
   };
+
+  /// Tombstones below this count are never compacted: small in-transit sets
+  /// (a handful of messages) would otherwise compact on most deliveries.
+  static constexpr int kCompactFloor = 8;
 
   void check_pid(Pid pid) const {
     BLUNT_ASSERT(pid >= 0 && pid < num_processes_,
@@ -266,6 +284,15 @@ class Network final : public sim::DeliverySource {
         [](const Envelope& e, int id) { return e.id < id; });
   }
 
+  /// Drops the tombstones once they outnumber the live envelopes; each
+  /// compaction is paid for by the deliveries that made them.
+  void compact_if_sparse() {
+    const int live = static_cast<int>(in_transit_.size()) - dead_;
+    if (dead_ < kCompactFloor || dead_ <= live) return;
+    std::erase_if(in_transit_, [](const Envelope& e) { return e.dead; });
+    dead_ = 0;
+  }
+
   std::string name_;
   int num_processes_;
   sim::Trace* trace_;
@@ -277,10 +304,12 @@ class Network final : public sim::DeliverySource {
   obs::Counter* lost_counter_ = nullptr;
   obs::Counter* duplicated_counter_ = nullptr;
   std::vector<Handler> handlers_;
-  // Sorted by id (monotone assignment => append keeps order); binary-search
-  // erase on deliver. Replaced the historical std::map: same canonical
-  // enumeration order, no node allocations on the send path.
+  // Sorted by id (monotone assignment => append keeps order, and tombstones
+  // keep their ids), so deliver binary-searches it. Replaced the historical
+  // std::map: same canonical enumeration order, no node allocations on the
+  // send path.
   std::vector<Envelope> in_transit_;
+  int dead_ = 0;  // tombstones in in_transit_
   std::vector<char> crashed_;  // indexed by pid
   int next_id_ = 0;
   int messages_sent_ = 0;

@@ -144,8 +144,8 @@ void AbdRegister::handle(Pid to, Pid from, const AbdMessage& m) {
 bool AbdRegister::phase_satisfied(Pid client, int sn,
                                   AbdMessage::Type type) const {
   // O(1): the phase keeps a distinct-responder count, so the quorum test is
-  // one compare regardless of n. Polled at park and on wake_hint (signaled
-  // waits), not on every enabled scan.
+  // one compare regardless of n. Polled at park and on wake_hint, not on
+  // every enabled scan.
   const obs::ScopedPhase prof_scope(prof_, obs::Phase::kQuorum);
   if (prof_ != nullptr) prof_->count(obs::ProfCounter::kQuorumTouches);
   (void)type;  // query and update phases share the sn counter
@@ -267,14 +267,14 @@ sim::Task<std::pair<sim::Value, Timestamp>> AbdRegister::query_phase(
     resend_src_.arm(p.pid(), sn, msg, opts_.max_retransmits);
   }
   const Pid pid = p.pid();
-  // Signaled wait: the quorum predicate is monotone (responder counts only
-  // grow), and every kReply arrival calls World::wake_hint — so the
-  // scheduler never re-polls it on an enabled scan.
+  // The quorum predicate is monotone (responder counts only grow), and
+  // every kReply arrival calls World::wake_hint — so the scheduler never
+  // re-polls it on an enabled scan.
   co_await p.wait_until(
       [this, pid, sn] {
         return phase_satisfied(pid, sn, AbdMessage::Type::kQuery);
       },
-      label_query_quorum_, inv, sim::WaitHint::kSignaled);
+      label_query_quorum_, inv);
   resend_src_.disarm(pid, sn);
   if (quorum_round_trips_ != nullptr) quorum_round_trips_->inc();
   // Line 9: pair in reply with the largest timestamp, over the replies
@@ -300,7 +300,7 @@ sim::Task<void> AbdRegister::update_phase(sim::Proc p, InvocationId inv,
       [this, pid, sn] {
         return phase_satisfied(pid, sn, AbdMessage::Type::kUpdate);
       },
-      label_update_quorum_, inv, sim::WaitHint::kSignaled);
+      label_update_quorum_, inv);
   resend_src_.disarm(pid, sn);
   if (quorum_round_trips_ != nullptr) quorum_round_trips_->inc();
 }

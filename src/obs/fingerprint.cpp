@@ -65,7 +65,7 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 }  // namespace
 
 std::size_t ScheduleFingerprinter::choose(const sim::World& w,
-                                          const std::vector<sim::Event>& enabled) {
+                                          const sim::EnabledView& enabled) {
   const std::size_t c = inner_.choose(w, enabled);
   // Attribute the fingerprint fold (not the inner adversary's choice) to
   // the coverage phase; the counter is exact, the timer advisory.

@@ -50,7 +50,7 @@ class ScheduleFingerprinter final : public sim::Adversary {
   }
 
   std::size_t choose(const sim::World& w,
-                     const std::vector<sim::Event>& enabled) override;
+                     const sim::EnabledView& enabled) override;
 
   /// Hash of the full chosen-event sequence (mixed with its length).
   [[nodiscard]] std::uint64_t schedule_hash() const;

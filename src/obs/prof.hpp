@@ -107,8 +107,8 @@ enum class ProfCounter : int {
   kIndexUpdates,        // mutations applied to the incremental enabled-index
                         // (resume-region ops, delivery-cache pushes/rebuild
                         // entries, crash-region ops)
-  kPredPollsAvoided,    // blocked signaled-wait processes NOT re-polled on a
-                        // scan (the polls the pre-overhaul kernel performed)
+  kPredPollsAvoided,    // blocked processes NOT re-polled on a scan (the
+                        // polls the pre-overhaul kernel performed)
 };
 
 inline constexpr int kNumCounters = 11;

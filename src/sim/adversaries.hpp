@@ -15,9 +15,7 @@ namespace blunt::sim {
 /// scheduler and as the replay fallback.
 class FirstEnabledAdversary final : public Adversary {
  public:
-  std::size_t choose(const World&, const std::vector<Event>&) override {
-    return 0;
-  }
+  std::size_t choose(const World&, const EnabledView&) override { return 0; }
 };
 
 /// Picks uniformly at random among enabled events from its own seeded PRNG
@@ -28,7 +26,7 @@ class UniformAdversary final : public Adversary {
  public:
   explicit UniformAdversary(std::uint64_t seed) : rng_(seed) {}
 
-  std::size_t choose(const World&, const std::vector<Event>& enabled) override {
+  std::size_t choose(const World&, const EnabledView& enabled) override {
     std::uniform_int_distribution<std::size_t> dist(0, enabled.size() - 1);
     return dist(rng_);
   }
@@ -45,7 +43,7 @@ class ReplayAdversary final : public Adversary {
   explicit ReplayAdversary(std::vector<std::size_t> script)
       : script_(std::move(script)) {}
 
-  std::size_t choose(const World&, const std::vector<Event>& enabled) override {
+  std::size_t choose(const World&, const EnabledView& enabled) override {
     if (pos_ < script_.size()) {
       const std::size_t idx = script_[pos_++];
       BLUNT_ASSERT(idx < enabled.size(),
@@ -71,16 +69,17 @@ class ReplayAdversary final : public Adversary {
 /// FirstEnabled while staying deterministic.
 class RoundRobinAdversary final : public Adversary {
  public:
-  std::size_t choose(const World& w,
-                     const std::vector<Event>& enabled) override {
+  std::size_t choose(const World& w, const EnabledView& enabled) override {
     const int n = w.process_count();
     for (int offset = 1; offset <= n; ++offset) {
       const Pid want = (last_ + offset) % n;
-      for (std::size_t i = 0; i < enabled.size(); ++i) {
-        if (enabled[i].pid == want) {
+      std::size_t i = 0;
+      for (const Event& e : enabled) {
+        if (e.pid == want) {
           last_ = want;
           return i;
         }
+        ++i;
       }
     }
     return 0;

@@ -34,11 +34,13 @@ struct Event {
   // Label of the step that will execute (for adversaries and debugging).
   // A borrowed view, not owned storage: it points into string literals,
   // long-lived object labels, coroutine-frame locals alive across the park,
-  // or the World's per-source pending buffers — all valid until the next
-  // enabled_events() enumeration / execute() call. Adversaries that retain
-  // events past that point (recording, shrinking) must copy it into a
-  // std::string. At reduced Config::trace_detail, delivery-event labels are
-  // empty (their formatting is the enumeration hot path's main allocation).
+  // or the summary strings of the World's per-source caches — all valid
+  // until the next enabled_events() / execute() call (and an Event read
+  // through an EnabledView is itself index storage, valid as long). Code
+  // that retains events past that point (recording, shrinking) must copy
+  // the Event and this label into a std::string. At reduced
+  // Config::trace_detail, delivery-event labels are empty (their formatting
+  // is the enumeration hot path's main allocation).
   std::string_view what;
 
   friend bool operator==(const Event&, const Event&) = default;

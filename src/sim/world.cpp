@@ -4,6 +4,11 @@
 
 namespace blunt::sim {
 
+namespace {
+// The fault tick's one event; the view's tick segment points at it.
+const Event kTickEvent{Event::Kind::kTick, -1, -1, -1, "fault-tick"};
+}  // namespace
+
 const char* to_string(RunStatus s) {
   switch (s) {
     case RunStatus::kCompleted: return "completed";
@@ -59,7 +64,8 @@ int World::attach(DeliverySource& src) {
   sources_.push_back(&src);
   pending_bufs_.emplace_back();
   oracle_pending_.emplace_back();
-  source_caches_.emplace_back();
+  source_events_.emplace_back();
+  source_synced_.push_back(0);
   const int sid = static_cast<int>(sources_.size()) - 1;
   BLUNT_ASSERT(src.world_ == nullptr, "delivery source attached twice");
   src.world_ = this;
@@ -91,53 +97,29 @@ bool World::finished() const {
   return done_or_crashed_ == static_cast<int>(slots_.size());
 }
 
-const std::vector<Event>& World::enabled_events() const {
-  // Assembled from the incremental enabled-index: bulk-copy the maintained
-  // resume region (merging in re-polled kPolled waiters), enumerate the
-  // sources whose caches are not synced, then append every source cache,
-  // the crash region and the fault tick. Member buffers are reused across
-  // scheduler steps: after warm-up, a step enumerates, chooses, and executes
-  // without a single allocation (at reduced trace detail). Event::what
-  // borrows — from literals, from the parked slots' pending labels, or from
-  // the caches' stable summary storage — and stays valid until the index
-  // entry is next touched or the next enumeration.
+EnabledView World::enabled_events() const {
+  // A view over the incremental enabled-index in place: re-enumerate the
+  // sources whose caches are not synced, then hand out the resume region,
+  // every source cache, the crash region (while crash budget remains) and
+  // the fault tick, without copying any of them. Event::what borrows — from
+  // literals, from the parked slots' pending labels, or from the caches'
+  // stable summary storage — and stays valid until the index entry is next
+  // touched.
   const obs::ScopedPhase prof_scope(prof_.get(), obs::Phase::kEnabledScan);
-  std::vector<Event>& events = events_buf_;
-  events.clear();
-  // Merge-walk the (pid-sorted) maintained region and polled waiters; a pid
-  // is never in both. Polled waiters keep the pre-index behavior: their
-  // predicate runs on every scan.
-  std::size_t i = 0;
-  const std::size_t nresume = resume_events_.size();
-  for (const Pid pid : polled_waiters_) {
-    while (i < nresume && resume_events_[i].pid < pid) {
-      events.push_back(resume_events_[i++]);
-    }
-    const Slot& s = slots_[pid];
-    BLUNT_ASSERT(s.wait_pred, "blocked process without predicate");
-    if (prof_) prof_->count(obs::ProfCounter::kEventsScanned);
-    if (s.wait_pred()) {
-      events.push_back({Event::Kind::kResume, pid, -1, -1, s.pending_what});
-    }
-  }
-  events.insert(events.end(), resume_events_.begin() + i,
-                resume_events_.end());
-  if (prof_ && signaled_blocked_ > 0) {
-    prof_->count(obs::ProfCounter::kPredPollsAvoided, signaled_blocked_);
+  if (prof_ && blocked_ > 0) {
+    prof_->count(obs::ProfCounter::kPredPollsAvoided, blocked_);
   }
   for (int sid = 0; sid < static_cast<int>(sources_.size()); ++sid) {
-    SourceCache& c = source_caches_[sid];
-    if (!c.synced) rebuild_source_cache(sid);
-    events.insert(events.end(), c.events.begin(), c.events.end());
+    if (source_synced_[sid] == 0) rebuild_source_cache(sid);
   }
-  if (crashes_used_ < cfg_.max_crashes) {
-    events.insert(events.end(), crash_events_.begin(), crash_events_.end());
-  }
-  if (fault_layer_ != nullptr && fault_layer_->tick_pending(*this)) {
-    events.push_back({Event::Kind::kTick, -1, -1, -1, "fault-tick"});
-  }
-  if (cfg_.verify_enabled_index) verify_against_rescan(events);
-  return events;
+  const bool tick =
+      fault_layer_ != nullptr && fault_layer_->tick_pending(*this);
+  const EnabledView view(
+      resume_events_, source_events_,
+      crashes_used_ < cfg_.max_crashes ? &crash_events_ : nullptr,
+      tick ? &kTickEvent : nullptr);
+  if (cfg_.verify_enabled_index) verify_against_rescan(view);
+  return view;
 }
 
 const std::vector<Event>& World::enabled_events_rescan() const {
@@ -199,20 +181,22 @@ void World::build_rescan(
   }
 }
 
-void World::verify_against_rescan(const std::vector<Event>& events) const {
+void World::verify_against_rescan(const EnabledView& events) const {
   build_rescan(oracle_events_, oracle_pending_);
   BLUNT_ASSERT(events.size() == oracle_events_.size(),
                "enabled-index diverged from rescan oracle: "
                    << events.size() << " events vs " << oracle_events_.size()
                    << " at step " << sched_steps_);
-  for (std::size_t i = 0; i < events.size(); ++i) {
+  std::size_t i = 0;
+  for (const Event& e : events) {
     // Event::operator== compares string_view content, so this also checks
     // the formatted labels byte for byte.
-    BLUNT_ASSERT(events[i] == oracle_events_[i],
+    BLUNT_ASSERT(e == oracle_events_[i],
                  "enabled-index diverged from rescan oracle at step "
                      << sched_steps_ << " index " << i << ": index has "
-                     << to_string(events[i]) << ", oracle has "
+                     << to_string(e) << ", oracle has "
                      << to_string(oracle_events_[i]));
+    ++i;
   }
 }
 
@@ -263,24 +247,6 @@ void World::resume_region_set_what(Pid pid, std::string_view what) {
   }
 }
 
-void World::polled_waiters_insert(Pid pid) {
-  auto it = std::lower_bound(polled_waiters_.begin(), polled_waiters_.end(),
-                             pid);
-  BLUNT_ASSERT(it == polled_waiters_.end() || *it != pid,
-               "p" << pid << " already a polled waiter");
-  polled_waiters_.insert(it, pid);
-  if (prof_) prof_->count(obs::ProfCounter::kIndexUpdates);
-}
-
-void World::polled_waiters_erase(Pid pid) {
-  auto it = std::lower_bound(polled_waiters_.begin(), polled_waiters_.end(),
-                             pid);
-  BLUNT_ASSERT(it != polled_waiters_.end() && *it == pid,
-               "p" << pid << " is not a polled waiter");
-  polled_waiters_.erase(it);
-  if (prof_) prof_->count(obs::ProfCounter::kIndexUpdates);
-}
-
 void World::crash_region_erase(Pid pid) {
   auto it = region_find(crash_events_, pid);
   BLUNT_ASSERT(it != crash_events_.end() && it->pid == pid,
@@ -290,23 +256,20 @@ void World::crash_region_erase(Pid pid) {
 }
 
 void World::rebuild_source_cache(int sid) const {
-  SourceCache& c = source_caches_[sid];
+  EventChunks& c = source_events_[sid];
   const bool want_summaries = trace_.wants_what();
   std::vector<PendingDelivery>& pending = pending_bufs_[sid];
   pending.clear();
   sources_[sid]->enumerate(pending, want_summaries);
-  c.events.clear();
-  c.sums.clear();
+  c.clear();
   for (PendingDelivery& d : pending) {
     if (crashed(d.to)) continue;
-    std::string_view sv{};
-    if (want_summaries) {
-      c.sums.push_back(std::make_unique<std::string>(std::move(d.summary)));
-      sv = *c.sums.back();
-    }
-    c.events.push_back({Event::Kind::kDeliver, d.to, sid, d.msg_id, sv});
+    c.push_back({Event::Kind::kDeliver, d.to, sid, d.msg_id, {}},
+                want_summaries
+                    ? std::make_unique<std::string>(std::move(d.summary))
+                    : nullptr);
   }
-  c.synced = true;
+  source_synced_[sid] = 1;
   if (prof_) {
     prof_->count(obs::ProfCounter::kEventsScanned,
                  static_cast<std::int64_t>(pending.size()));
@@ -319,7 +282,7 @@ void World::wake_hint(Pid pid) {
   if (pid < 0 || pid >= process_count()) return;
   if (states_[pid] != ProcState::kBlocked) return;
   Slot& s = slots_[pid];
-  if (!s.wait_signaled || s.in_resume_index) return;
+  if (s.in_resume_index) return;
   BLUNT_ASSERT(s.wait_pred, "blocked process without predicate");
   if (prof_) prof_->count(obs::ProfCounter::kEventsScanned);
   if (s.wait_pred()) resume_region_insert(pid, s.pending_what);
@@ -328,19 +291,14 @@ void World::wake_hint(Pid pid) {
 void World::source_event_insert(int source_id, int msg_id, Pid to,
                                 std::string&& summary) {
   BLUNT_ASSERT(source_id >= 0 &&
-                   source_id < static_cast<int>(source_caches_.size()),
+                   source_id < static_cast<int>(source_events_.size()),
                "push from unattached source " << source_id);
-  SourceCache& c = source_caches_[source_id];
   // Until the next sync enumerates the full set, deltas are redundant.
-  if (!c.synced) return;
-  BLUNT_ASSERT(c.events.empty() || c.events.back().msg_id < msg_id,
-               "pushed insert out of msg_id order");
-  std::string_view sv{};
-  if (trace_.wants_what()) {
-    c.sums.push_back(std::make_unique<std::string>(std::move(summary)));
-    sv = *c.sums.back();
-  }
-  c.events.push_back({Event::Kind::kDeliver, to, source_id, msg_id, sv});
+  if (source_synced_[source_id] == 0) return;
+  source_events_[source_id].push_back(
+      {Event::Kind::kDeliver, to, source_id, msg_id, {}},
+      trace_.wants_what() ? std::make_unique<std::string>(std::move(summary))
+                          : nullptr);
   if (prof_) {
     prof_->count(obs::ProfCounter::kEventsScanned);
     prof_->count(obs::ProfCounter::kIndexUpdates);
@@ -349,19 +307,10 @@ void World::source_event_insert(int source_id, int msg_id, Pid to,
 
 void World::source_event_erase(int source_id, int msg_id) {
   BLUNT_ASSERT(source_id >= 0 &&
-                   source_id < static_cast<int>(source_caches_.size()),
+                   source_id < static_cast<int>(source_events_.size()),
                "push from unattached source " << source_id);
-  SourceCache& c = source_caches_[source_id];
-  if (!c.synced) return;
-  auto it = std::lower_bound(
-      c.events.begin(), c.events.end(), msg_id,
-      [](const Event& e, int id) { return e.msg_id < id; });
-  BLUNT_ASSERT(it != c.events.end() && it->msg_id == msg_id,
-               "pushed erase of unindexed msg " << msg_id);
-  if (trace_.wants_what()) {
-    c.sums.erase(c.sums.begin() + (it - c.events.begin()));
-  }
-  c.events.erase(it);
+  if (source_synced_[source_id] == 0) return;
+  source_events_[source_id].erase(msg_id);
   if (prof_) {
     prof_->count(obs::ProfCounter::kEventsScanned);
     prof_->count(obs::ProfCounter::kIndexUpdates);
@@ -370,12 +319,12 @@ void World::source_event_erase(int source_id, int msg_id) {
 
 void World::source_resync(int source_id) {
   BLUNT_ASSERT(source_id >= 0 &&
-                   source_id < static_cast<int>(source_caches_.size()),
+                   source_id < static_cast<int>(source_synced_.size()),
                "resync of unattached source " << source_id);
-  source_caches_[source_id].synced = false;
+  source_synced_[source_id] = 0;
 }
 
-void World::execute(const Event& e) {
+void World::execute(Event e) {
   const obs::ScopedPhase prof_scope(prof_.get(), obs::Phase::kExecute);
   if (prof_) prof_->count(obs::ProfCounter::kStepsExecuted);
   ++sched_steps_;
@@ -384,7 +333,7 @@ void World::execute(const Event& e) {
   // delivery executed at step s sees the channel state of step s. A changed
   // channel state hides or reveals held messages in every source.
   if (fault_layer_ != nullptr && fault_layer_->on_step(*this)) {
-    for (SourceCache& c : source_caches_) c.synced = false;
+    std::fill(source_synced_.begin(), source_synced_.end(), 0);
   }
   switch (e.kind) {
     case Event::Kind::kResume:
@@ -421,19 +370,12 @@ void World::execute(const Event& e) {
                    "crashing a finished process");
       // Retire the process from every enabled-index region it occupies.
       if (s.in_resume_index) resume_region_erase(e.pid);
-      if (prev == ProcState::kBlocked) {
-        if (s.wait_signaled) {
-          --signaled_blocked_;
-        } else {
-          polled_waiters_erase(e.pid);
-        }
-      }
+      if (prev == ProcState::kBlocked) --blocked_;
       crash_region_erase(e.pid);
       states_[e.pid] = ProcState::kCrashed;
       ++done_or_crashed_;
       s.parked = {};
       s.wait_pred = nullptr;
-      s.wait_signaled = false;
       ++crashes_used_;
       if (trace_.recording()) {
         trace_.append({.pid = e.pid,
@@ -469,18 +411,10 @@ void World::resume_slot(Pid pid) {
   BLUNT_ASSERT(pid >= 0 && pid < process_count(), "bad pid " << pid);
   Slot& s = slots_[pid];
   // Snapshot the index membership the process holds going in; after the
-  // coroutine runs, reindex_after_resume diffs against the new state. A
-  // polled-blocked process is enabled via the per-scan merge, not the
-  // maintained region, so its entry removal targets polled_waiters_.
+  // coroutine runs, reindex_after_resume diffs against the new state.
   const ProcState prev_state = states_[pid];
   const bool was_in_index = s.in_resume_index;
-  if (prev_state == ProcState::kBlocked) {
-    if (s.wait_signaled) {
-      --signaled_blocked_;
-    } else {
-      polled_waiters_erase(pid);
-    }
-  }
+  if (prev_state == ProcState::kBlocked) --blocked_;
   std::coroutine_handle<> h;
   switch (prev_state) {
     case ProcState::kNotStarted:
@@ -547,7 +481,6 @@ void World::resume_slot(Pid pid) {
   states_[pid] = ProcState::kRunning;
   s.parked = {};
   s.wait_pred = nullptr;
-  s.wait_signaled = false;
   s.pending_random_n = 0;
   h.resume();
   // The process either re-parked (state overwritten by park*) or ran to
@@ -574,18 +507,14 @@ void World::reindex_after_resume(Pid pid, bool was_in_index) {
       what = s.pending_what;
       break;
     case ProcState::kBlocked:
-      if (s.wait_signaled) {
-        ++signaled_blocked_;
-        // Poll once at park; afterwards only wake_hint re-polls. Monotone
-        // predicates make the indexed entry sticky.
-        BLUNT_ASSERT(s.wait_pred, "blocked process without predicate");
-        if (prof_) prof_->count(obs::ProfCounter::kEventsScanned);
-        if (s.wait_pred()) {
-          want_index = true;
-          what = s.pending_what;
-        }
-      } else {
-        polled_waiters_insert(pid);
+      ++blocked_;
+      // Poll once at park; afterwards only wake_hint re-polls. Monotone
+      // predicates make the indexed entry sticky.
+      BLUNT_ASSERT(s.wait_pred, "blocked process without predicate");
+      if (prof_) prof_->count(obs::ProfCounter::kEventsScanned);
+      if (s.wait_pred()) {
+        want_index = true;
+        what = s.pending_what;
       }
       break;
     case ProcState::kDone:
@@ -659,7 +588,7 @@ RunResult World::run(Adversary& adv) {
         result.status = RunStatus::kCompleted;
         break;
       }
-      const std::vector<Event>& events = enabled_events();
+      const EnabledView events = enabled_events();
       if (events.empty()) {
         result.status = RunStatus::kDeadlock;
         if (cfg_.deadlock_diagnostics) {
@@ -778,7 +707,6 @@ void World::park(Pid pid, std::coroutine_handle<> h, StepKind kind,
   s.pending_inv = inv;
   s.pending_random_n = 0;
   s.wait_pred = nullptr;
-  s.wait_signaled = false;
 }
 
 void World::park_random(Pid pid, std::coroutine_handle<> h, int n,
@@ -789,12 +717,10 @@ void World::park_random(Pid pid, std::coroutine_handle<> h, int n,
 
 void World::park_wait(Pid pid, std::coroutine_handle<> h,
                       std::function<bool()> pred, std::string_view what,
-                      InvocationId inv, WaitHint hint) {
+                      InvocationId inv) {
   park(pid, h, StepKind::kWaitResume, what, inv);
-  Slot& s = slots_[pid];
   states_[pid] = ProcState::kBlocked;
-  s.wait_pred = std::move(pred);
-  s.wait_signaled = hint == WaitHint::kSignaled;
+  slots_[pid].wait_pred = std::move(pred);
 }
 
 int World::drawn_random_value(Pid pid) const {

@@ -37,6 +37,7 @@
 #include "obs/prof.hpp"
 #include "sim/coin.hpp"
 #include "sim/delivery.hpp"
+#include "sim/enabled_view.hpp"
 #include "sim/event.hpp"
 #include "sim/fault_hooks.hpp"
 #include "sim/task.hpp"
@@ -103,21 +104,6 @@ struct RunResult {
   std::string deadlock_detail;
 };
 
-/// How a wait_until predicate is re-polled by the scheduler's incremental
-/// enabled-index (see DESIGN.md §14).
-enum class WaitHint {
-  /// Re-poll the predicate on every enabled_events() scan (the pre-index
-  /// behavior). Always correct; right for predicates over state the World
-  /// cannot attribute to a wake site.
-  kPolled,
-  /// Poll once when the process parks, then only when World::wake_hint(pid)
-  /// fires — the waiting object must call wake_hint from every site that can
-  /// turn the predicate true (e.g. an ABD quorum counter reaching majority
-  /// in a message handler). Requires the documented monotonicity contract:
-  /// once true, the predicate stays true until the process resumes.
-  kSignaled,
-};
-
 /// Lightweight handle a process coroutine uses to interact with its World.
 /// Copyable; carries no ownership.
 class Proc {
@@ -143,13 +129,14 @@ class Proc {
   /// A random(V) step with |V| = n; returns the sampled index in [0, n).
   [[nodiscard]] auto random(int n, std::string_view what,
                             InvocationId inv = -1);
-  /// Blocks until `pred` holds, then takes one step. `pred` must be monotone
-  /// (once true, stays true until the process is resumed) — quorum waits are.
-  /// `hint` selects how the enabled-index re-polls the predicate; kSignaled
-  /// additionally requires the waiting object to call World::wake_hint.
+  /// Blocks until `pred` holds, then takes one step. The enabled-index polls
+  /// `pred` when the process parks and again only on World::wake_hint(pid),
+  /// so whoever can turn it true must call wake_hint from that site (e.g. an
+  /// ABD quorum counter reaching majority in a message handler). `pred` must
+  /// be monotone (once true, stays true until the process is resumed) —
+  /// quorum waits are.
   [[nodiscard]] auto wait_until(std::function<bool()> pred,
-                                std::string_view what, InvocationId inv = -1,
-                                WaitHint hint = WaitHint::kPolled);
+                                std::string_view what, InvocationId inv = -1);
 
  private:
   World* world_ = nullptr;
@@ -162,8 +149,7 @@ class Proc {
 class Adversary {
  public:
   virtual ~Adversary() = default;
-  virtual std::size_t choose(const World& w,
-                             const std::vector<Event>& enabled) = 0;
+  virtual std::size_t choose(const World& w, const EnabledView& enabled) = 0;
 };
 
 class World {
@@ -204,31 +190,34 @@ class World {
 
   /// Enumerates enabled events in canonical order: process resumptions by
   /// ascending pid, then deliveries by (source id, message id), then crashes
-  /// by ascending pid. Assembled from the incremental enabled-index — the
-  /// maintained resume/crash regions and per-source caches, updated on state
-  /// transitions rather than rebuilt per step — in byte-identical content
-  /// and order to the historical linear rescan (enabled_events_rescan is the
-  /// oracle). Returns a reference into a member buffer reused across
-  /// scheduler steps (the run loop's zero-allocation fast path); the events
-  /// — and the string_views inside them — are valid until the next
-  /// enabled_events() call. Callers that keep events longer must copy.
-  [[nodiscard]] const std::vector<Event>& enabled_events() const;
+  /// by ascending pid, then the fault tick. Returns a read-only view over
+  /// the incremental enabled-index itself — the maintained resume/crash
+  /// regions and per-source caches, updated on state transitions rather
+  /// than rebuilt per step — in byte-identical content and order to the
+  /// historical linear rescan (enabled_events_rescan is the oracle). Nothing
+  /// is copied, so the view's events — and the string_views inside them —
+  /// are valid until the next enabled_events() or execute() call. Callers
+  /// that keep events longer, or execute while iterating, must copy first
+  /// (EnabledView::to_vector()).
+  [[nodiscard]] EnabledView enabled_events() const;
   /// The pre-index linear rescan: rebuilds the enabled list from scratch
   /// into a separate scratch buffer by polling every slot and re-enumerating
   /// every source. Kept as the debug oracle for the incremental index
   /// (Config::verify_enabled_index, the differential test); O(n) per call.
   [[nodiscard]] const std::vector<Event>& enabled_events_rescan() const;
-  /// Executes one enabled event (must come from enabled_events()).
-  void execute(const Event& e);
+  /// Executes one enabled event (must come from enabled_events()). Takes
+  /// its argument by value: a view element aliases index storage that
+  /// executing it changes (a crash erases its own crash-region entry).
+  void execute(Event e);
   /// True iff every process is done or crashed (O(1): maintained count).
   [[nodiscard]] bool finished() const;
 
-  /// Dependency notification for WaitHint::kSignaled waiters: the object a
-  /// process is blocked on calls this when the watched condition may have
-  /// turned true (quorum counter bumped, message arrived). Re-polls the
-  /// predicate and, if it now holds, inserts the process's resume event into
-  /// the enabled-index (sticky: monotone predicates never go false while
-  /// parked). No-op for non-blocked / polled / already-indexed processes.
+  /// Dependency notification for wait_until: the object a process is
+  /// blocked on calls this when the watched condition may have turned true
+  /// (quorum counter bumped, message arrived). Re-polls the predicate and,
+  /// if it now holds, inserts the process's resume event into the
+  /// enabled-index (sticky: monotone predicates never go false while
+  /// parked). No-op for non-blocked / already-indexed processes.
   void wake_hint(Pid pid);
 
   // -- Enabled-index updates from attached delivery sources --
@@ -307,7 +296,7 @@ class World {
                    std::string_view what, InvocationId inv);
   void park_wait(Pid pid, std::coroutine_handle<> h,
                  std::function<bool()> pred, std::string_view what,
-                 InvocationId inv, WaitHint hint);
+                 InvocationId inv);
   [[nodiscard]] int drawn_random_value(Pid pid) const;
 
  private:
@@ -336,27 +325,14 @@ class World {
     // only before the coroutine resumes.
     std::string_view pending_what;
     InvocationId pending_inv = -1;
+    // Polled at park and on wake_hint only, never on scans.
     std::function<bool()> wait_pred;
-    // WaitHint::kSignaled park: the predicate is polled at park and on
-    // wake_hint only, never on scans.
-    bool wait_signaled = false;
     // True iff resume_events_ currently holds this pid's resume event (the
-    // sticky enabled marker for signaled waiters; always true for
+    // sticky enabled marker for blocked waiters; always true for
     // kNotStarted/kReady).
     bool in_resume_index = false;
     int pending_random_n = 0;  // > 0: next resume draws a coin
     int random_value = -1;     // last drawn coin for this process
-  };
-
-  // Per-source slice of the incremental enabled-index: this source's
-  // deliverable events in msg_id order, plus stable storage for their
-  // formatted summaries (only populated at full trace detail; unique_ptr so
-  // the Event string_views survive vector growth). Rebuilt by enumeration
-  // when not synced, otherwise maintained by the source's pushed changes.
-  struct SourceCache {
-    std::vector<Event> events;
-    std::vector<std::unique_ptr<std::string>> sums;
-    bool synced = false;
   };
 
   void resume_slot(Pid pid);
@@ -369,8 +345,6 @@ class World {
   void resume_region_insert(Pid pid, std::string_view what);
   void resume_region_erase(Pid pid);
   void resume_region_set_what(Pid pid, std::string_view what);
-  void polled_waiters_insert(Pid pid);
-  void polled_waiters_erase(Pid pid);
   void crash_region_erase(Pid pid);
   void rebuild_source_cache(int sid) const;
   // Reconciles a process's index membership after a state transition
@@ -378,7 +352,7 @@ class World {
   void reindex_after_resume(Pid pid, bool was_in_index);
   void build_rescan(std::vector<Event>& out,
                     std::vector<std::vector<PendingDelivery>>& bufs) const;
-  void verify_against_rescan(const std::vector<Event>& events) const;
+  void verify_against_rescan(const EnabledView& events) const;
 
   Config cfg_;
   std::unique_ptr<CoinSource> coins_;
@@ -396,26 +370,24 @@ class World {
   // Hot per-process state, struct-of-arrays twin of slots_ (same indexing).
   std::vector<ProcState> states_;
   std::vector<DeliverySource*> sources_;
-  // Reused by enabled_events(): the event list and one pending-delivery
-  // buffer per source, so steady-state enumeration allocates nothing.
-  mutable std::vector<Event> events_buf_;
+  // One pending-delivery buffer per source, reused by re-enumerations.
   mutable std::vector<std::vector<PendingDelivery>> pending_bufs_;
-  // -- Incremental enabled-index (DESIGN.md §14) --
+  // -- Incremental enabled-index (DESIGN.md §14): the segments an
+  // EnabledView reads in place --
   // Resume events for every process whose resume is currently enabled
-  // (kNotStarted, kReady, and signaled-blocked with a true predicate),
-  // sorted by pid; updated on state transitions, bulk-copied per scan.
+  // (kNotStarted, kReady, and blocked with a true predicate), sorted by
+  // pid; updated on state transitions.
   std::vector<Event> resume_events_;
-  // Pids blocked behind WaitHint::kPolled predicates, sorted; re-polled and
-  // merged into the resume region on every scan (pre-index behavior).
-  std::vector<Pid> polled_waiters_;
   // Crash events for every live process, sorted by pid; maintained only
   // when cfg_.max_crashes > 0, offered while crash budget remains.
   std::vector<Event> crash_events_;
-  // Per-source index slices (parallel to sources_). Mutable: refreshed
-  // lazily inside const enabled_events().
-  mutable std::vector<SourceCache> source_caches_;
-  // Count of blocked signaled-wait processes (for kPredPollsAvoided).
-  int signaled_blocked_ = 0;
+  // Per-source deliverable events (parallel to sources_), and whether each
+  // is synced: an unsynced source is re-enumerated by the next scan.
+  // Mutable: refreshed lazily inside const enabled_events().
+  mutable std::vector<EventChunks> source_events_;
+  mutable std::vector<char> source_synced_;
+  // Count of blocked processes (for kPredPollsAvoided).
+  int blocked_ = 0;
   // Count of kDone/kCrashed processes (O(1) finished()).
   int done_or_crashed_ = 0;
   // Scratch for the rescan oracle; separate from the hot-path buffers so
@@ -475,11 +447,10 @@ struct WaitAwaiter {
   std::function<bool()> pred;
   std::string_view what;
   InvocationId inv;
-  WaitHint hint;
 
   [[nodiscard]] bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
-    w->park_wait(pid, h, std::move(pred), what, inv, hint);
+    w->park_wait(pid, h, std::move(pred), what, inv);
   }
   void await_resume() const noexcept {}
 };
@@ -497,8 +468,8 @@ inline auto Proc::random(int n, std::string_view what, InvocationId inv) {
 }
 
 inline auto Proc::wait_until(std::function<bool()> pred, std::string_view what,
-                             InvocationId inv, WaitHint hint) {
-  return detail::WaitAwaiter{&world(), pid_, std::move(pred), what, inv, hint};
+                             InvocationId inv) {
+  return detail::WaitAwaiter{&world(), pid_, std::move(pred), what, inv};
 }
 
 }  // namespace blunt::sim

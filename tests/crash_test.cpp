@@ -35,7 +35,7 @@ class NoCrashUniform final : public sim::Adversary {
   explicit NoCrashUniform(std::uint64_t seed) : rng_(seed) {}
 
   std::size_t choose(const sim::World&,
-                     const std::vector<sim::Event>& enabled) override {
+                     const sim::EnabledView& enabled) override {
     std::vector<std::size_t> ok;
     for (std::size_t i = 0; i < enabled.size(); ++i) {
       if (enabled[i].kind != sim::Event::Kind::kCrash) ok.push_back(i);

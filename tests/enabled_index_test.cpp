@@ -5,14 +5,15 @@
 // re-derives it with the pre-overhaul brute-force rescan (re-polling every
 // wait predicate, re-enumerating every delivery source) and BLUNT_ASSERTs
 // byte equality element by element. These tests drive that oracle through
-// every index code path — resume-region replace/erase/insert, polled and
-// signaled waits, pushed network changes, resend-token resyncs, partitions
+// every index code path — resume-region replace/erase/insert, waits woken
+// by wake_hint, pushed network changes, resend-token resyncs, partitions
 // that hide and reveal held messages, crashes with messages held, a fault
 // layer installed mid-run, and fault ticks — at all three trace-detail
 // levels, and additionally pin the flag-off run to the flag-on fingerprint
 // (the oracle must observe, never perturb).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -34,7 +35,7 @@ namespace {
 struct HashingAdversary final : sim::Adversary {
   explicit HashingAdversary(sim::Adversary& inner) : inner_(inner) {}
   std::size_t choose(const sim::World& w,
-                     const std::vector<sim::Event>& ev) override {
+                     const sim::EnabledView& ev) override {
     const std::size_t c = inner_.choose(w, ev);
     for (const sim::Event& e : ev) {
       mix(static_cast<std::uint64_t>(static_cast<int>(e.kind)));
@@ -60,8 +61,8 @@ struct Outcome {
   int partitions_healed = 0;  // fault-plan runs: heals during the run
 };
 
-/// Weakener over ABD^k: the headline workload. Signaled quorum waits plus
-/// the weakener's own polled waits, pushed network deltas, no faults.
+/// Weakener over ABD^k: the headline workload. Quorum waits woken by
+/// wake_hint, pushed network deltas, no faults.
 Outcome run_weakener(int k, int n, std::uint64_t seed, sim::TraceDetail d,
                      bool verify) {
   sim::World w(sim::Config{.metrics = false,
@@ -154,9 +155,122 @@ TEST(EnabledIndex, WeakenerMatchesRescanOracleAtEveryDetailLevel) {
   }
 }
 
+TEST(EnabledIndex, WideWorldMatchesRescanOracle) {
+  // n = 96 and 160: one broadcast puts more than a chunk's worth
+  // (EventChunks::kChunkSize) of deliverables into a network's cache, so
+  // erases land in every chunk position and emptied chunks are recycled.
+  for (const int n : {96, 160}) {
+    const Outcome off =
+        run_weakener(2, n, 41, sim::TraceDetail::kFull, /*verify=*/false);
+    EXPECT_EQ(off.status, sim::RunStatus::kCompleted);
+    for (const sim::TraceDetail d :
+         {sim::TraceDetail::kFull, sim::TraceDetail::kNone}) {
+      const Outcome on = run_weakener(2, n, 41, d, /*verify=*/true);
+      EXPECT_EQ(on.status, off.status) << "n=" << n;
+      EXPECT_EQ(on.steps, off.steps) << "n=" << n;
+      if (d == sim::TraceDetail::kFull) {
+        EXPECT_EQ(on.hash, off.hash) << "n=" << n;
+      }
+    }
+  }
+}
+
+/// Checks every way of reading `view` against the rescan oracle: range-for,
+/// operator[], to_vector(), a vector-built view of the copy, and the
+/// crash-free view with its index mapping.
+void expect_view_matches_rescan(const sim::World& w,
+                                const sim::EnabledView& view) {
+  const std::vector<sim::Event> oracle = w.enabled_events_rescan();
+  ASSERT_EQ(view.size(), oracle.size());
+  std::size_t i = 0;
+  for (const sim::Event& e : view) {
+    ASSERT_LT(i, oracle.size());
+    EXPECT_EQ(e, oracle[i]) << "range-for index " << i;
+    EXPECT_EQ(view[i], oracle[i]) << "operator[] index " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, oracle.size());
+  const std::vector<sim::Event> copy = view.to_vector();
+  EXPECT_EQ(copy, oracle);
+  const sim::EnabledView flat = copy;
+  ASSERT_EQ(flat.size(), copy.size());
+  for (std::size_t j = 0; j < copy.size(); ++j) EXPECT_EQ(flat[j], copy[j]);
+  EXPECT_EQ(flat.to_vector(), copy);
+  std::vector<sim::Event> no_crash;
+  for (const sim::Event& e : oracle) {
+    if (e.kind != sim::Event::Kind::kCrash) no_crash.push_back(e);
+  }
+  const sim::EnabledView rest = view.without_crashes();
+  EXPECT_EQ(rest.to_vector(), no_crash);
+  for (std::size_t j = 0; j < rest.size(); ++j) {
+    EXPECT_EQ(view[view.with_crashes_index(j)], rest[j]) << "index " << j;
+  }
+}
+
+TEST(EnabledIndex, ViewMatchesRescanElementByElement) {
+  // A wide world mid-run: each network's cache spans several chunks with
+  // holes left by earlier deliveries, and a crash segment sits before the
+  // end (max_crashes = 1; ChaosAdversary with no planned crash hides it).
+  constexpr int kN = 160;
+  sim::World w(sim::Config{.max_crashes = 1},
+               std::make_unique<sim::SeededCoin>(3));
+  objects::AbdRegister r(
+      "R", w,
+      objects::AbdRegister::Options{.num_processes = kN,
+                                    .preamble_iterations = 2});
+  objects::AbdRegister c(
+      "C", w,
+      objects::AbdRegister::Options{.num_processes = kN,
+                                    .initial = sim::Value(std::int64_t{-1}),
+                                    .preamble_iterations = 2});
+  programs::WeakenerOutcome out;
+  programs::install_weakener(w, r, c, out);
+  for (Pid pid = 3; pid < kN; ++pid) {
+    w.add_process("s" + std::to_string(pid),
+                  [](sim::Proc) -> sim::Task<void> { co_return; });
+  }
+  fault::FaultPlan no_crashes;
+  no_crashes.num_processes = kN;
+  sim::UniformAdversary uniform(5);
+  fault::ChaosAdversary adv(uniform, no_crashes);
+  std::size_t widest = 0;
+  int checks = 0;
+  for (int step = 0; step < 4000 && !w.finished(); ++step) {
+    const sim::EnabledView view = w.enabled_events();
+    widest = std::max(widest, view.size());
+    if (step % 97 == 0) {
+      expect_view_matches_rescan(w, view);
+      ++checks;
+    }
+    w.execute(view[adv.choose(w, view)]);
+  }
+  EXPECT_GE(checks, 20);
+  EXPECT_GT(widest, 2 * sim::EventChunks::kChunkSize);
+
+  // The fault tick follows the crash block, so the crash-free view shifts
+  // it: a partition that is still to heal keeps the tick offered.
+  fault::FaultPlan plan;
+  plan.num_processes = 3;
+  plan.partitions.push_back({/*side_mask=*/0b010, /*open=*/0, /*heal=*/50});
+  sim::World small(sim::Config{.max_crashes = 2},
+                   std::make_unique<sim::SeededCoin>(1));
+  fault::FaultInjector injector(plan, small);
+  for (Pid pid = 0; pid < 3; ++pid) {
+    small.add_process("p" + std::to_string(pid),
+                      [](sim::Proc p) -> sim::Task<void> {
+                        co_await p.yield(sim::StepKind::kLocal, "x");
+                      });
+  }
+  const sim::EnabledView view = small.enabled_events();
+  ASSERT_EQ(view.size(), 3u + 3u + 1u);  // resumes, crashes, tick
+  EXPECT_EQ(view[6].kind, sim::Event::Kind::kTick);
+  expect_view_matches_rescan(small, view);
+  EXPECT_EQ(view.with_crashes_index(3), 6u);
+}
+
 TEST(EnabledIndex, WiderQuorumsMatchRescanOracle) {
   // n = 8 replicas: multi-word-free but multi-majority bitsets, many
-  // signaled waiters parked at once.
+  // blocked waiters parked at once.
   const Outcome off = run_weakener(2, 8, 77, sim::TraceDetail::kNone,
                                    /*verify=*/false);
   const Outcome on = run_weakener(2, 8, 77, sim::TraceDetail::kNone,
@@ -246,7 +360,10 @@ Outcome run_held_crash(int heal, sim::TraceDetail d, bool verify) {
   net::Network<Note> net("N", 3, &w.trace_mutable());
   std::vector<int> got(3, 0);
   for (Pid pid = 0; pid < 3; ++pid) {
-    net.set_handler(pid, [&got](Pid to, Pid, const Note&) { ++got[to]; });
+    net.set_handler(pid, [&got, &w](Pid to, Pid, const Note&) {
+      ++got[to];
+      w.wake_hint(to);
+    });
   }
   w.attach(net);
   net.set_fault_layer(&injector);
@@ -321,7 +438,10 @@ Outcome run_late_layer(std::uint64_t seed, sim::TraceDetail d, bool verify) {
   net::Network<Note> net("N", 3, &w.trace_mutable());
   std::vector<int> got(3, 0);
   for (Pid pid = 0; pid < 3; ++pid) {
-    net.set_handler(pid, [&got](Pid to, Pid, const Note&) { ++got[to]; });
+    net.set_handler(pid, [&got, &w](Pid to, Pid, const Note&) {
+      ++got[to];
+      w.wake_hint(to);
+    });
   }
   w.attach(net);
   SeverChannel sever(0, 1);
@@ -365,8 +485,8 @@ TEST(EnabledIndex, FaultLayerInstalledMidRunMatchesRescanOracle) {
 }
 
 TEST(EnabledIndex, PolledWaitsAndSignaledWaitsCoexist) {
-  // One process blocks on a hand-rolled polled predicate (the kPolled
-  // default) while ABD clients park signaled waits on the same scans.
+  // One process blocks on a hand-rolled gate that the reader opens and
+  // wakes, while ABD clients park quorum waits on the same scans.
   for (const bool verify : {false, true}) {
     sim::World w(sim::Config{.verify_enabled_index = verify},
                  std::make_unique<sim::SeededCoin>(3));
@@ -384,6 +504,7 @@ TEST(EnabledIndex, PolledWaitsAndSignaledWaitsCoexist) {
                   [&reg, &release](sim::Proc p) -> sim::Task<void> {
                     (void)co_await reg.read(p);
                     release = true;
+                    p.world().wake_hint(1);
                   });
     sim::UniformAdversary adv(99);
     const sim::RunResult res = w.run(adv);

@@ -117,7 +117,10 @@ TEST(FaultInjector, PartitionHoldsMessagesUntilHeal) {
   net::Network<Msg> net("n", 2, &w.trace_mutable());
   int got = -1;
   net.set_handler(0, [](Pid, Pid, const Msg&) {});
-  net.set_handler(1, [&got](Pid, Pid, const Msg& m) { got = m.tag; });
+  net.set_handler(1, [&got, &w](Pid to, Pid, const Msg& m) {
+    got = m.tag;
+    w.wake_hint(to);
+  });
   net.set_fault_layer(&inj);
   w.attach(net);
 

@@ -46,7 +46,7 @@ std::uint64_t fnv1a(const std::string& s) {
 struct HashingAdversary final : sim::Adversary {
   explicit HashingAdversary(sim::Adversary& inner) : inner_(inner) {}
   std::size_t choose(const sim::World& w,
-                     const std::vector<sim::Event>& ev) override {
+                     const sim::EnabledView& ev) override {
     const std::size_t c = inner_.choose(w, ev);
     const sim::Event& e = ev[c];
     mix(static_cast<std::uint64_t>(static_cast<int>(e.kind)));

@@ -90,6 +90,7 @@ TEST(HwQueue, CompletedEnqueueOrderIsPreserved) {
       w->add_process("e1", [&](sim::Proc p) -> sim::Task<void> {
         co_await q.enqueue(p, 1);
         first_done = true;
+        p.world().wake_hint(1);
       });
       w->add_process("e2", [&](sim::Proc p) -> sim::Task<void> {
         co_await p.wait_until([&first_done] { return first_done; }, "sync");

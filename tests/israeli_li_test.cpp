@@ -50,6 +50,7 @@ TEST(IsraeliLi, ReadAfterCompletedWrite) {
   w->add_process("p2", [&](sim::Proc p) -> sim::Task<void> {
     co_await reg.write(p, v(6));
     wrote = true;
+    p.world().wake_hint(0);
   });
   sim::UniformAdversary adv(4);
   ASSERT_EQ(w->run(adv).status, sim::RunStatus::kCompleted);
@@ -67,6 +68,7 @@ TEST(IsraeliLi, ReadersPropagateThroughReports) {
     w->add_process("p0", [&](sim::Proc p) -> sim::Task<void> {
       first = co_await reg.read(p);
       p0_done = true;
+      p.world().wake_hint(1);
     });
     w->add_process("p1", [&](sim::Proc p) -> sim::Task<void> {
       co_await p.wait_until([&p0_done] { return p0_done; }, "sync");

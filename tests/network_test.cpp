@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "sim/adversaries.hpp"
 #include "sim/coin.hpp"
@@ -152,11 +155,81 @@ TEST(Network, WorldIntegrationDeliveriesAreEvents) {
   EXPECT_EQ(w.run(adv).status, sim::RunStatus::kCompleted);
   // The send happened but delivery may still be pending once processes are
   // done; drive it manually if needed.
-  auto events = w.enabled_events();
+  auto events = w.enabled_events().to_vector();
   for (const auto& e : events) {
     if (e.kind == sim::Event::Kind::kDeliver) w.execute(e);
   }
   EXPECT_EQ(got, 3);
+}
+
+TEST(Network, InTransitCountSkipsTombstones) {
+  // Deliveries and crash-drops leave tombstones that compaction removes
+  // once they outnumber the live messages. The count, the enabled list (the
+  // rescan oracle checks it on every scan) and describe_pending must see
+  // live messages only, on both sides of a compaction.
+  sim::World w(sim::Config{.max_crashes = 1, .verify_enabled_index = true},
+               std::make_unique<sim::SeededCoin>(1));
+  Network<Msg> net("n", 3, &w.trace_mutable());
+  std::vector<int> delivered;
+  for (Pid pid = 0; pid < 3; ++pid) {
+    net.set_handler(pid, [&delivered](Pid, Pid, const Msg& m) {
+      delivered.push_back(m.tag);
+    });
+  }
+  w.attach(net);
+  for (Pid pid = 0; pid < 3; ++pid) {
+    w.add_process("p" + std::to_string(pid),
+                  [](sim::Proc) -> sim::Task<void> { co_return; });
+  }
+  std::set<int> live;  // tags == msg ids: no loss, no duplication
+  for (int i = 0; i < 120; ++i) {
+    net.send(0, 1 + i % 2, {i});
+    live.insert(i);
+  }
+  ASSERT_EQ(net.in_transit_count(), 120);
+
+  const auto deliver_one = [&](bool newest) {
+    std::vector<sim::Event> deliveries;
+    for (const sim::Event& e : w.enabled_events()) {
+      if (e.kind == sim::Event::Kind::kDeliver) deliveries.push_back(e);
+    }
+    ASSERT_EQ(deliveries.size(), live.size());
+    w.execute(newest ? deliveries.back() : deliveries.front());
+    live.erase(delivered.back());
+    EXPECT_EQ(net.in_transit_count(), static_cast<int>(live.size()));
+  };
+  const auto expect_pending_is_live = [&] {
+    std::vector<std::string> lines;
+    net.describe_pending(lines);
+    EXPECT_EQ(lines.size(), live.size());
+    for (const int tag : delivered) {
+      const std::string id = "n msg" + std::to_string(tag) + " p";
+      for (const std::string& line : lines) {
+        EXPECT_EQ(line.find(id), std::string::npos) << line;
+      }
+    }
+  };
+
+  // Oldest and newest alternately, so tombstones gather at both ends; the
+  // 61st delivery leaves more dead slots than live ones and compacts.
+  for (int d = 0; d < 80; ++d) deliver_one(d % 2 == 1);
+  expect_pending_is_live();
+
+  // Crashing p2 drops its undelivered messages (the odd tags).
+  for (const sim::Event& e : w.enabled_events()) {
+    if (e.kind == sim::Event::Kind::kCrash && e.pid == 2) {
+      w.execute(e);
+      break;
+    }
+  }
+  ASSERT_TRUE(w.crashed(2));
+  std::erase_if(live, [](int tag) { return tag % 2 == 1; });
+  EXPECT_EQ(net.in_transit_count(), static_cast<int>(live.size()));
+  expect_pending_is_live();
+
+  while (!live.empty()) deliver_one(/*newest=*/false);
+  EXPECT_EQ(net.in_transit_count(), 0);
+  expect_pending_is_live();
 }
 
 }  // namespace

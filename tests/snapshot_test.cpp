@@ -46,6 +46,7 @@ TEST(Snapshot, ScanReflectsCompletedUpdatesOfOthers) {
   w->add_process("p0", [&](sim::Proc p) -> sim::Task<void> {
     co_await snap.update(p, 3);
     updated = true;
+    p.world().wake_hint(1);
   });
   w->add_process("p1", [&](sim::Proc p) -> sim::Task<void> {
     co_await p.wait_until([&updated] { return updated; }, "sync");

@@ -51,6 +51,7 @@ TEST(Vitanyi, LaterWriterWinsAcrossProcesses) {
   w->add_process("p0", [&](sim::Proc p) -> sim::Task<void> {
     co_await reg.write(p, v(1));
     p0_wrote = true;
+    p.world().wake_hint(1);
     co_await p.wait_until([&p1_done] { return p1_done; }, "sync");
     got = co_await reg.read(p);
   });
@@ -58,6 +59,7 @@ TEST(Vitanyi, LaterWriterWinsAcrossProcesses) {
     co_await p.wait_until([&p0_wrote] { return p0_wrote; }, "sync");
     co_await reg.write(p, v(2));
     p1_done = true;
+    p.world().wake_hint(0);
   });
   sim::UniformAdversary adv(3);
   ASSERT_EQ(w->run(adv).status, sim::RunStatus::kCompleted);
@@ -75,10 +77,12 @@ TEST(Vitanyi, TimestampTieBreakByProcessId) {
     w->add_process("p0", [&](sim::Proc p) -> sim::Task<void> {
       co_await reg.write(p, v(10));
       writes_done0 = true;
+      p.world().wake_hint(2);
     });
     w->add_process("p1", [&](sim::Proc p) -> sim::Task<void> {
       co_await reg.write(p, v(20));
       writes_done1 = true;
+      p.world().wake_hint(2);
     });
     w->add_process("p2", [&](sim::Proc p) -> sim::Task<void> {
       co_await p.wait_until([&] { return writes_done0 && writes_done1; },

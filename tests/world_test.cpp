@@ -103,6 +103,7 @@ TEST(World, WaitUntilBlocksUntilPredicateHolds) {
   w->add_process("setter", [&](Proc p) -> Task<void> {
     co_await p.yield(StepKind::kLocal, "set");
     ready = true;
+    p.world().wake_hint(0);
     order.push_back(1);
   });
   // FirstEnabled prefers the waiter, but it is blocked until `ready`.
