@@ -78,8 +78,8 @@ class RunningStats {
   /// for every thread count.
   void merge(const RunningStats& other);
 
-  /// Rebuilds an accumulator from serialized moments (checkpoint resume).
-  /// The moments must come from serialize-able doubles of a previous
+  /// Rebuilds an accumulator from stored moments (MetricsSnapshot
+  /// histograms merge through this). The moments must come from a previous
   /// instance; the roundtrip is bit-exact.
   [[nodiscard]] static RunningStats from_moments(std::int64_t count, double sum,
                                                  double min, double max,

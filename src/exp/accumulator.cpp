@@ -1,6 +1,5 @@
 #include "exp/accumulator.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "obs/prof_export.hpp"
@@ -83,9 +82,7 @@ obs::Json Accumulator::to_json() const {
   out["stats"] = obs::Json(std::move(stats));
   out["counters"] = obs::Json(std::move(counters));
   out["coverage"] = obs::Json(std::move(coverage));
-  // Profile snapshots are all-integer JSON, so checkpoints roundtrip them
-  // bit-exactly; the key is emitted only when profiling ran so pre-profile
-  // checkpoints stay byte-identical.
+  // Emitted only when profiling ran, so profile-off dumps carry no key.
   if (!profiles_.empty()) {
     obs::JsonObject profiles;
     for (const auto& [name, p] : profiles_) {
@@ -95,41 +92,6 @@ obs::Json Accumulator::to_json() const {
   }
   out["registry"] = obs::snapshot_to_json(registry_);
   return obs::Json(std::move(out));
-}
-
-Accumulator Accumulator::from_json(const obs::Json& j) {
-  if (!j.is_object()) {
-    throw std::runtime_error("Accumulator::from_json: not an object");
-  }
-  Accumulator a;
-  for (const auto& [name, t] : j.at("tallies").as_object()) {
-    a.tallies_[name] = BernoulliEstimator(t.at("successes").as_int(),
-                                          t.at("trials").as_int());
-  }
-  for (const auto& [name, s] : j.at("stats").as_object()) {
-    a.stats_[name] = RunningStats::from_moments(
-        s.at("count").as_int(), s.at("sum").as_double(),
-        s.at("min").as_double(), s.at("max").as_double(),
-        s.at("welford_mean").as_double(), s.at("m2").as_double());
-  }
-  for (const auto& [name, v] : j.at("counters").as_object()) {
-    a.counters_[name] = v.as_int();
-  }
-  // find(), not at(): pre-coverage shard checkpoints lack the key and must
-  // keep resuming cleanly.
-  if (const obs::Json* cov = j.find("coverage")) {
-    for (const auto& [name, c] : cov->as_object()) {
-      a.coverage_[name] = obs::CoverageMap::from_json(c);
-    }
-  }
-  // Also optional: pre-profile shard checkpoints must keep resuming.
-  if (const obs::Json* prof = j.find("profile")) {
-    for (const auto& [name, p] : prof->as_object()) {
-      a.profiles_[name] = obs::profile_from_json(p);
-    }
-  }
-  a.registry_ = obs::snapshot_from_json(j.at("registry"));
-  return a;
 }
 
 std::string Accumulator::canonical_dump() const {

@@ -24,10 +24,9 @@
 //                advisory wall-clock (like the engine's timings_ms) and are
 //                excluded from identity comparisons via canonical_dump().
 //
-// The whole accumulator serializes to JSON bit-exactly (doubles dump with
-// shortest-roundtrip precision), which is what makes shard-granular
-// checkpoint/resume sound: a resumed shard contributes the same bits as the
-// run that produced it.
+// The whole accumulator serializes to JSON with shortest-roundtrip doubles;
+// canonical_dump() of that JSON is what the --timing-sweep self-check and
+// the determinism tests compare across thread counts.
 #pragma once
 
 #include <cstdint>
@@ -90,9 +89,8 @@ class Accumulator {
   /// Associative shard merge; see the class comment for exactness.
   void merge(const Accumulator& other);
 
-  /// Bit-exact JSON roundtrip (shard checkpoints).
+  /// Every component as JSON, doubles at shortest-roundtrip precision.
   [[nodiscard]] obs::Json to_json() const;
-  [[nodiscard]] static Accumulator from_json(const obs::Json& j);
 
   /// to_json().dump() with the profiles' advisory nanosecond timings zeroed.
   /// The engine's cross-thread-count identity assertion compares this — the

@@ -16,17 +16,11 @@
 //     doubles are bit-identical for ANY --threads value, including 1
 //     (threads == 1 exercises the same shard/fold path).
 //
-// Checkpoint/resume is shard-granular: every completed shard is appended to
-// a JSONL checkpoint (one mutex-guarded writer) keyed by
-// (experiment, seed, trials, shard_size); a resumed run loads matching
-// shards, skips them, and folds their stored accumulators into the same
-// position of the same merge tree — contributing the same bits as if they
-// had just run. A run killed mid-append leaves a torn final line; resume
-// skips it (that shard re-runs) and starts the next line on its own.
+// A run is one process from start to finish; a run that was killed is
+// recovered by running it again.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "exp/experiment.hpp"
@@ -49,15 +43,8 @@ struct RunOptions {
   std::uint64_t seed = 0;
   /// 0 = Experiment::default_shard_size, else kDefaultShardSize.
   int shard_size = 0;
-  /// Non-empty: load matching shards before running and append each newly
-  /// completed shard. The file is removed once the run completes.
-  std::string checkpoint_path;
-  /// > 0: stop after this many newly executed shards (time-boxed chunk of a
-  /// long soak; requires checkpoint_path to be useful). RunInfo::complete
-  /// reports whether the whole trial space is now covered.
-  int max_shards = 0;
   /// Extra thread counts to time: for each T the engine re-runs the full
-  /// trial phase at T threads (no checkpointing), records the wall clock in
+  /// trial phase at T threads, records the wall clock in
   /// RunInfo::sweep_wall_ms, and asserts the merged result is bit-identical
   /// to the main pass — a built-in determinism self-check.
   std::vector<int> timing_sweep;
@@ -72,12 +59,6 @@ struct RunOptions {
   /// --threads value; nanosecond timings are advisory. Off by default — the
   /// disabled path must be the exact pre-profiling hot path.
   bool profile = false;
-  /// Non-empty: append heartbeat JSONL records (exp/progress.hpp) to this
-  /// file from a sampler thread that only reads worker-side atomics — the
-  /// merged result is bit-identical with or without progress reporting.
-  std::string progress_path;
-  /// Sampler cadence for progress_path (clamped to >= 10).
-  int progress_interval_ms = 500;
 };
 
 struct RunOutput {

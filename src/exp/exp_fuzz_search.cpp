@@ -26,9 +26,10 @@
 // violations are appended to a crash-tolerant JSONL journal (flock +
 // O_APPEND, duplicate-safe); finalize compacts the journal into a canonical
 // artifact whose bytes depend only on the record set — identical for any
-// --threads and across kill/resume. Knobs: $BLUNT_FUZZ_CORPUS_PATH (journal
-// path; default $BLUNT_BENCH_DIR/FUZZ_CORPUS.jsonl), $BLUNT_FUZZ_CORPUS=0
-// (disable persistence), $BLUNT_FUZZ_TRIALS (trial-count override).
+// --threads and when a killed run is rerun. Knobs: $BLUNT_FUZZ_CORPUS_PATH
+// (journal path; default $BLUNT_BENCH_DIR/FUZZ_CORPUS.jsonl),
+// $BLUNT_FUZZ_CORPUS=0 (disable persistence), $BLUNT_FUZZ_TRIALS
+// (trial-count override).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

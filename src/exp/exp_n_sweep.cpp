@@ -22,7 +22,7 @@
 //
 // Group layout is a pure function of the trial index (groups are
 // contiguous, equal-size blocks), so merged tallies and counters are
-// bit-identical for any --threads value and across checkpoint/resume.
+// bit-identical for any --threads value.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -200,7 +200,7 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
   print_rule();
   report.set_metric_json("n_sweep_rows", obs::Json(std::move(rows)));
 
-  // Headline instance for the ledger's Theorem 4.2 watchdog: the widest
+  // Headline instance for the Theorem 4.2 watchdog: the widest
   // grid point at the paper's preferred k = 2.
   {
     const std::string gname = group_name(1024, 2);

@@ -160,7 +160,7 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
   }
   print_rule();
 
-  // Structured rows for tools/blunt_report's cost-vs-n chart.
+  // Structured cost-vs-n rows, one per n.
   obs::JsonArray rows;
   for (const int n : kNs) {
     const std::string gname = group_name(n);

@@ -53,12 +53,9 @@ struct RunInfo {
   int threads = 0;
   int shard_size = 0;
   int shards_total = 0;
-  int shards_resumed = 0;   // loaded from a checkpoint instead of run
-  int shards_executed = 0;  // run in this process
-  double wall_ms = 0.0;     // trial phase only, at `threads`
+  double wall_ms = 0.0;  // trial phase only, at `threads`
   /// Wall clock of extra timing-sweep passes, as (threads, ms) pairs.
   std::vector<std::pair<int, double>> sweep_wall_ms;
-  bool complete = true;  // false: stopped early (max_shards), checkpoint kept
   /// Execution coverage was enabled for this run (RunOptions::coverage).
   bool coverage = false;
   /// Deterministic profiling was enabled for this run (RunOptions::profile).

@@ -11,13 +11,10 @@
 #include "obs/trace_export.hpp"
 
 namespace blunt::exp {
-namespace {
 
-/// The report-emitting tail of a completed run: finalize hook, engine
-/// provenance + wall-clock stamping, report write + ledger append, and the
-/// optional flamegraph sidecar. Returns the finalize hook's exit code (0
-/// when the experiment has no finalize).
-int finalize_and_report(const Experiment& e, const RunOutput& out) {
+int run_and_report(const Experiment& e, const RunOptions& opts) {
+  const RunOutput out = run_trials(e, opts);
+
   obs::BenchReport report(e.name);
   int rc = 0;
   if (e.finalize) rc = e.finalize(report, out.merged, out.info);
@@ -28,9 +25,6 @@ int finalize_and_report(const Experiment& e, const RunOutput& out) {
   report.set_environment_int("engine_seed",
                              static_cast<std::int64_t>(out.info.seed));
   report.set_environment_int("engine_shards_total", out.info.shards_total);
-  report.set_environment_int("engine_shards_resumed", out.info.shards_resumed);
-  report.set_environment_int("engine_shards_executed",
-                             out.info.shards_executed);
   // Stamped only when on, so coverage-off reports stay byte-identical to
   // pre-coverage ones (the committed baselines never carry this key).
   if (out.info.coverage) report.set_environment_int("engine_coverage", 1);
@@ -63,24 +57,6 @@ int finalize_and_report(const Experiment& e, const RunOutput& out) {
     }
   }
   return rc;
-}
-
-}  // namespace
-
-int run_and_report(const Experiment& e, const RunOptions& opts) {
-  const RunOutput out = run_trials(e, opts);
-
-  if (!out.info.complete) {
-    std::printf(
-        "%s: shard budget reached — %d/%d shards done (%d this run, %d "
-        "resumed); rerun with the same --checkpoint to continue\n",
-        e.name.c_str(), out.info.shards_resumed + out.info.shards_executed,
-        out.info.shards_total, out.info.shards_executed,
-        out.info.shards_resumed);
-    return 0;
-  }
-
-  return finalize_and_report(e, out);
 }
 
 int run_registered(const std::string& name, const RunOptions& opts) {

@@ -1,8 +1,8 @@
 // The report-producing wrapper around the engine: run an experiment's trial
 // phase, hand the merged accumulator to its serial finalize hook, stamp
-// engine provenance and wall clocks, and emit the standard schema-v1
-// BENCH_<name>.json + single ledger append. Both the unified `blunt_exp` CLI
-// and the thin per-bench mains funnel through here.
+// engine provenance and wall clocks, and write the standard schema-v1
+// BENCH_<name>.json. Both the unified `blunt_exp` CLI and the thin
+// per-bench mains funnel through here.
 #pragma once
 
 #include <string>
@@ -17,14 +17,10 @@ namespace blunt::exp {
 ///
 /// Engine provenance lands in the report's environment section
 /// (engine_threads, engine_shard_size, engine_seed, engine_trials,
-/// engine_shards_total/resumed/executed) and the trial-phase wall clocks in
-/// timings_ms ("engine_trials", plus "engine_trials_t<N>" per timing-sweep
-/// thread count) — all outside the metrics section, so fixed-seed reports
-/// differ across thread counts ONLY in provenance and timing keys.
-///
-/// An incomplete run (max_shards budget exhausted) writes NO report: the
-/// checkpoint keeps the finished shards, a progress line goes to stdout, and
-/// the return value is 0 — rerun with the same checkpoint to continue.
+/// engine_shards_total) and the trial-phase wall clocks in timings_ms
+/// ("engine_trials", plus "engine_trials_t<N>" per timing-sweep thread
+/// count) — all outside the metrics section, so fixed-seed reports differ
+/// across thread counts ONLY in provenance and timing keys.
 int run_and_report(const Experiment& e, const RunOptions& opts);
 
 /// Looks `name` up in the registry (registering builtins first) and runs it.

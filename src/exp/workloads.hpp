@@ -20,7 +20,6 @@
 #include "objects/abd.hpp"
 #include "obs/coverage.hpp"
 #include "obs/fingerprint.hpp"
-#include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/prof_export.hpp"
@@ -120,8 +119,8 @@ inline void merge_probe(obs::BenchReport& report, obs::MetricsSnapshot s) {
   report.merge_registry(s);
 }
 
-/// Probability reporting convention (consumed by obs::compare and
-/// tools/blunt_report): a Bernoulli metric `K` always travels with `K_lo`,
+/// Probability reporting convention (consumed by obs::compare and the
+/// baseline gate): a Bernoulli metric `K` always travels with `K_lo`,
 /// `K_hi` (Wilson 95% interval) and `K_trials`, so the comparator never has
 /// to guess sample sizes. The headline `bad_probability` additionally gets
 /// the plain `trials` key.
@@ -173,21 +172,12 @@ inline void set_thm42_instance(obs::BenchReport& report, int k, int r, int n,
   report.set_metric("bound_margin", bound - empirical_bad);
 }
 
-/// Writes BENCH_<name>.json, appends the stamped report to the experiment
-/// ledger (BENCH_HISTORY.jsonl; opt out with BLUNT_LEDGER=0), and echoes
-/// where both went (kept on single lines so the human tables above stay the
-/// primary console artifact). Throws, naming the path, when the report
-/// cannot be written; a failed ledger append is only reported.
+/// Writes BENCH_<name>.json and echoes where it went (on a single line, so
+/// the human tables above stay the primary console artifact). Throws,
+/// naming the path, when the report cannot be written.
 inline void write_report(obs::BenchReport& report) {
   const std::string path = report.write();
   std::printf("\nbench report: %s\n", path.c_str());
-  if (!obs::ledger_enabled()) return;
-  try {
-    const std::string ledger = obs::append_report(report.to_json());
-    std::printf("ledger entry: %s\n", ledger.c_str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ledger append FAILED: %s\n", e.what());
-  }
 }
 
 inline void print_header(const std::string& title) {
@@ -233,8 +223,8 @@ inline void record_coverage(Accumulator& acc,
 /// coverage-instrumented (keeps coverage-off reports byte-stable).
 ///
 /// coverage.new_last_window counts schedule fingerprints first seen in the
-/// last ~10% of shards — the saturation signal blunt_report turns into a
-/// "plateaued" vs "still climbing" verdict.
+/// last ~10% of shards — the saturation signal: zero means coverage has
+/// plateaued, a positive count means it is still climbing.
 inline void report_coverage(obs::BenchReport& report, const Accumulator& acc,
                             const RunInfo& info) {
   if (!info.coverage) return;

@@ -125,7 +125,7 @@ class Fnv {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-/// The ledger's torn-line defense: O_APPEND + one write() under the hardened
+/// The torn-line defense: O_APPEND + one write() under the hardened
 /// bounded-retry flock (obs/lockfile.hpp — EINTR-safe, contention counted in
 /// obs::lock_retries()).
 void append_line(const std::string& path, const std::string& line) {

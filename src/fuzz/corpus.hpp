@@ -9,19 +9,19 @@
 //     deadlock, non-termination) together with its ddmin-shrunk schedule
 //     and the pretty-printed scripted-adversary repro.
 //
-// Persistence discipline is the ledger's (obs/ledger.cpp): each record is
-// ONE line appended with O_APPEND + a single write() under an advisory
-// flock, so concurrent shard threads (or processes) never tear a line; the
+// Persistence discipline (obs/lockfile.hpp): each record is ONE line
+// appended with O_APPEND + a single write() under an advisory flock, so
+// concurrent shard threads (or processes) never tear a line; the
 // loader skips blank/partial/foreign lines instead of failing, so a journal
-// truncated by a crash is still loadable and a resumed run simply appends
-// again (duplicates are fine, see below).
+// truncated by a crash is still loadable and a rerun simply appends again
+// (duplicates are fine, see below).
 //
 // The journal is an append log, not the artifact. compact() produces the
 // canonical corpus: records deduplicated by content key and sorted by a
 // total content order, written to a temp file and atomically renamed. The
 // canonical bytes depend only on the SET of records, so any append order
-// (any --threads), any duplication (kill/resume re-running a half-finished
-// shard), and any interleaving produce the identical compacted file.
+// (any --threads), any duplication (a killed run rerun over the same
+// journal), and any interleaving produce the identical compacted file.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,7 @@
 // feedback-driven climb that mutates the recorded schedule (fuzz/mutate.hpp)
 // and replays mutants through prefix-replay adversaries. Everything a chain
 // does is a pure function of its options, so chains parallelize across
-// experiment shards with no cross-talk and replay bit-identically on resume.
+// experiment shards with no cross-talk and replay bit-identically on a rerun.
 //
 // Two fuzz targets, both with planted, independently-validated ground truth:
 //

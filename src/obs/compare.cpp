@@ -16,6 +16,11 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
+/// A counter verdict needs |delta| > max(kCounterNoiseFloor,
+/// kCounterRelThreshold * |baseline|).
+constexpr double kCounterRelThreshold = 0.25;
+constexpr double kCounterNoiseFloor = 64.0;
+
 [[nodiscard]] std::string fmt(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -178,58 +183,8 @@ void compare_metrics(const Json& base, const Json& cur, const std::string& bench
   }
 }
 
-void compare_timings(const Json& base, const Json& cur, const std::string& bench,
-                     const CompareOptions& opts,
-                     std::vector<MetricComparison>& out) {
-  const JsonObject* bt = object_section(base, "timings_ms");
-  const JsonObject* ct = object_section(cur, "timings_ms");
-  if (bt == nullptr || ct == nullptr) return;
-  for (const std::string& key : key_union(*bt, *ct)) {
-    const auto bit = bt->find(key);
-    const auto cit = ct->find(key);
-    if (bit == bt->end() || cit == ct->end() || !bit->second.is_number() ||
-        !cit->second.is_number()) {
-      continue;
-    }
-    MetricComparison c;
-    c.bench = bench;
-    c.metric = "timings_ms." + key;
-    c.kind = "timing";
-    c.baseline = bit->second.as_double();
-    c.current = cit->second.as_double();
-    if (!opts.trust_timings) {
-      c.evidence = "cross-host comparison, wall-clock advisory only: " +
-                   fmt(c.baseline) + "ms -> " + fmt(c.current) + "ms";
-      out.push_back(std::move(c));
-      continue;
-    }
-    if (c.baseline < opts.timing_noise_floor_ms &&
-        c.current < opts.timing_noise_floor_ms) {
-      c.evidence = "both sides below the " + fmt(opts.timing_noise_floor_ms) +
-                   "ms noise floor";
-      out.push_back(std::move(c));
-      continue;
-    }
-    const double up = c.baseline * (1.0 + opts.timing_rel_threshold);
-    const double down = c.baseline / (1.0 + opts.timing_rel_threshold);
-    const std::string detail = fmt(c.baseline) + "ms -> " + fmt(c.current) +
-                               "ms (threshold x" +
-                               fmt(1.0 + opts.timing_rel_threshold) + ")";
-    if (c.current > up && c.current > opts.timing_noise_floor_ms) {
-      c.verdict = Verdict::kRegressed;
-      c.evidence = "slower beyond threshold: " + detail;
-    } else if (c.current < down && c.baseline > opts.timing_noise_floor_ms) {
-      c.verdict = Verdict::kImproved;
-      c.evidence = "faster beyond threshold: " + detail;
-    } else {
-      c.evidence = "within threshold: " + detail;
-    }
-    out.push_back(std::move(c));
-  }
-}
-
 void compare_counters(const Json& base, const Json& cur,
-                      const std::string& bench, const CompareOptions& opts,
+                      const std::string& bench,
                       std::vector<MetricComparison>& out) {
   const JsonObject* bc = object_section(base, "registry", "counters");
   const JsonObject* cc = object_section(cur, "registry", "counters");
@@ -249,7 +204,7 @@ void compare_counters(const Json& base, const Json& cur,
     c.current = cit->second.as_double();
     const double delta = c.current - c.baseline;
     const double threshold = std::max(
-        opts.counter_noise_floor, opts.counter_rel_threshold * std::abs(c.baseline));
+        kCounterNoiseFloor, kCounterRelThreshold * std::abs(c.baseline));
     const std::string detail = fmt(c.baseline) + " -> " + fmt(c.current) +
                                " (delta " + fmt(delta) + ", threshold " +
                                fmt(threshold) + ")";
@@ -350,13 +305,11 @@ std::vector<MetricComparison> check_thm42_bound(const Json& report) {
   return out;
 }
 
-CompareResult compare_reports(const Json& baseline, const Json& current,
-                              const CompareOptions& opts) {
+CompareResult compare_reports(const Json& baseline, const Json& current) {
   CompareResult result;
   const std::string bench = bench_name_of(current);
   compare_metrics(baseline, current, bench, result.comparisons);
-  compare_timings(baseline, current, bench, opts, result.comparisons);
-  compare_counters(baseline, current, bench, opts, result.comparisons);
+  compare_counters(baseline, current, bench, result.comparisons);
   for (MetricComparison& c : check_thm42_bound(current)) {
     result.comparisons.push_back(std::move(c));
   }

@@ -1,8 +1,8 @@
-// Statistical comparison of bench reports — the regression gate's brain.
+// Statistical comparison of bench reports — the baseline gate's brain.
 //
-// Given a baseline and a current report (two files, or two ledger entries),
-// every comparable quantity is classified as improved / regressed / neutral
-// with the statistical evidence attached:
+// Given a baseline and a current report of the same bench, every comparable
+// quantity is classified as improved / regressed / neutral with the
+// statistical evidence attached:
 //
 //   * Bernoulli metrics (bad probabilities, violation rates) use Wilson 95%
 //     interval overlap: a verdict other than neutral requires DISJOINT
@@ -11,10 +11,14 @@
 //     by bench::set_bernoulli_metric / set_exact_probability; `K_trials` =
 //     0 marks an exact analytic value with a degenerate interval). Lower is
 //     better by convention — these are bad-outcome probabilities.
-//   * timings_ms entries use a relative threshold over a noise floor:
-//     below the floor both ways, timing is noise and stays neutral.
-//   * registry counters use relative deltas with their own floor; message /
+//   * numeric metrics with no interval evidence compare as scalars: drift
+//     of a lower-is-better key is a verdict, any other change is
+//     informational; boolean metrics are invariant flags;
+//   * registry counters use relative deltas over a noise floor; message /
 //     step / retransmission counts growing past it is a regression.
+//
+// Wall-clock timings_ms are never compared: the committed baselines come
+// from another host, where a timing says nothing about this build.
 //
 // The Theorem 4.2 bound watchdog rides along: a report that declares its
 // blunting instance (`thm42_k`, `thm42_r`, `thm42_n`, `thm42_prob_lin`,
@@ -44,25 +48,12 @@ enum class Verdict {
 struct MetricComparison {
   std::string bench;
   std::string metric;  // dotted path, e.g. "metrics.bad_probability"
-  std::string kind;    // "bernoulli" | "timing" | "counter" | "scalar" |
-                       // "flag" | "bound"
+  std::string kind;    // "bernoulli" | "counter" | "scalar" | "flag" |
+                       // "bound"
   Verdict verdict = Verdict::kNeutral;
   double baseline = 0.0;
   double current = 0.0;
   std::string evidence;  // human-readable justification
-};
-
-struct CompareOptions {
-  /// Timing regression needs current > baseline * (1 + threshold) and both
-  /// sides above the noise floor.
-  double timing_rel_threshold = 0.50;
-  double timing_noise_floor_ms = 5.0;
-  /// Counter regression needs |delta| > max(floor, rel * baseline).
-  double counter_rel_threshold = 0.25;
-  double counter_noise_floor = 64.0;
-  /// Cross-host comparisons (different machines, committed baselines) should
-  /// not gate on wall-clock: timings report as neutral with a note.
-  bool trust_timings = true;
 };
 
 struct CompareResult {
@@ -72,12 +63,11 @@ struct CompareResult {
   [[nodiscard]] bool has_bound_violation() const;
 };
 
-/// Classifies every metric, timing, and counter of `current` against
+/// Classifies every metric and registry counter of `current` against
 /// `baseline` (both full blunt-bench-report documents of the same bench) and
 /// runs the bound watchdog on `current`.
 [[nodiscard]] CompareResult compare_reports(const Json& baseline,
-                                            const Json& current,
-                                            const CompareOptions& opts = {});
+                                            const Json& current);
 
 /// The Theorem 4.2 watchdog alone (no baseline needed): empty vector when
 /// the report declares no blunting instance; one "bound" comparison row —

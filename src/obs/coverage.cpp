@@ -106,18 +106,4 @@ Json CoverageMap::to_json() const {
   return Json(std::move(a));
 }
 
-CoverageMap CoverageMap::from_json(const Json& j) {
-  if (!j.is_array()) {
-    throw std::runtime_error("CoverageMap::from_json: not an array");
-  }
-  CoverageMap m;
-  for (const Json& v : j.as_array()) {
-    if (!v.is_string()) {
-      throw std::runtime_error("CoverageMap::from_json: non-string entry");
-    }
-    m.insert(fingerprint_from_hex(v.as_string()));
-  }
-  return m;
-}
-
 }  // namespace blunt::obs

@@ -89,7 +89,6 @@ class CoverageMap {
   /// Canonical JSON: a sorted array of fixed-width hex strings. Two maps
   /// holding the same set dump byte-identically regardless of history.
   [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static CoverageMap from_json(const Json& j);
 
  private:
   /// splitmix64 finalizer: a cheap, well-mixed slot hash so that structured

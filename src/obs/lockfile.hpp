@@ -1,12 +1,11 @@
-// Hardened advisory-flock discipline shared by every append-only journal in
-// the repo (experiment ledger, fuzz corpus).
+// Hardened advisory-flock discipline for append-only journals (the fuzz
+// corpus is the one user).
 //
-// The original ledger discipline (obs/ledger.cpp, PR 4) was "O_APPEND + one
-// write() under a blocking flock". Two gaps showed up once several
-// processes started appending to the same files: a blocking flock() can return
-// EINTR (signal delivery mid-wait) which the old code treated as "not
-// locked", and heavy contention serializes every writer behind one kernel
-// wait queue with no visibility. acquire_file_lock() closes both:
+// The plain discipline is "O_APPEND + one write() under a blocking flock".
+// It has two gaps once several writers append to the same file: a blocking
+// flock() can return EINTR (signal delivery mid-wait), which must not read
+// as "not locked", and heavy contention serializes every writer behind one
+// kernel wait queue with no visibility. acquire_file_lock() closes both:
 //
 //   * bounded retry: LOCK_EX|LOCK_NB attempts with exponential backoff,
 //     each failed attempt counted in the process-global lock_retries()

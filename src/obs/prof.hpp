@@ -5,15 +5,14 @@
 //
 //   * EXACT WORK COUNTERS (events scanned, quorum-map touches, memo
 //     probes/hits, bytes allocated, ...) — pure functions of the executed
-//     trials, so they merge bit-identically across --threads N and
-//     checkpoint/resume and can be regression-gated like any other exact
-//     metric.
+//     trials, so they merge bit-identically across --threads N and can be
+//     regression-gated like any other exact metric.
 //   * ADVISORY PHASE TIMERS (scoped RAII, steady_clock) — wall-clock cost
 //     per subsystem, arranged in a fixed hierarchy for flamegraph export.
 //     Timings are advisory exactly like the engine's timings_ms: two runs
 //     of the same work never produce the same nanoseconds, so they are
 //     excluded from every bit-identity contract (the engine's timing-sweep
-//     assert and the checkpoint identity both compare ns-zeroed dumps).
+//     assert compares ns-zeroed dumps).
 //
 // This header is deliberately header-only, exactly like obs/metrics.hpp:
 // blunt_sim instruments itself with it without a sim -> obs link edge. The
@@ -177,8 +176,8 @@ struct ProfileSnapshot {
   }
 
   /// Drops the advisory wall-clock component, keeping calls and counters.
-  /// The engine's bit-identity contracts (--timing-sweep, checkpoint
-  /// equivalence tests) compare snapshots through this.
+  /// The engine's bit-identity contracts (--timing-sweep, the determinism
+  /// tests) compare snapshots through this.
   void zero_advisory_ns() {
     for (PhaseStat& s : phases) s.ns = 0;
   }

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <new>
-#include <stdexcept>
 
 namespace blunt::obs {
 
@@ -27,43 +26,6 @@ Json profile_to_json(const ProfileSnapshot& snap) {
   out["phases"] = Json(std::move(phases));
   out["counters"] = Json(std::move(counters));
   return Json(std::move(out));
-}
-
-ProfileSnapshot profile_from_json(const Json& j) {
-  ProfileSnapshot snap;
-  if (const Json* phases = j.find("phases"); phases != nullptr) {
-    for (const auto& [name, stat] : phases->as_object()) {
-      int idx = -1;
-      for (int i = 0; i < kNumPhases; ++i) {
-        if (name == phase_name(static_cast<Phase>(i))) {
-          idx = i;
-          break;
-        }
-      }
-      if (idx < 0) {
-        throw std::runtime_error("profile_from_json: unknown phase " + name);
-      }
-      PhaseStat& s = snap.phases[static_cast<std::size_t>(idx)];
-      s.calls = stat.at("calls").as_int();
-      s.ns = stat.at("ns").as_int();
-    }
-  }
-  if (const Json* counters = j.find("counters"); counters != nullptr) {
-    for (const auto& [name, v] : counters->as_object()) {
-      int idx = -1;
-      for (int i = 0; i < kNumCounters; ++i) {
-        if (name == counter_name(static_cast<ProfCounter>(i))) {
-          idx = i;
-          break;
-        }
-      }
-      if (idx < 0) {
-        throw std::runtime_error("profile_from_json: unknown counter " + name);
-      }
-      snap.counters[static_cast<std::size_t>(idx)] = v.as_int();
-    }
-  }
-  return snap;
 }
 
 std::int64_t profile_self_ns(const ProfileSnapshot& snap, Phase p) {

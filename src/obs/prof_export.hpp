@@ -1,7 +1,7 @@
-// Exporters for the deterministic profiler (obs/prof.hpp): JSON round-trip
-// for checkpoints and reports, and collapsed-stack flamegraph text. The
-// operator-new counting hook also lives in this translation unit's .cpp so
-// any binary that pulls the exporters in gets allocation counting for free.
+// Exporters for the deterministic profiler (obs/prof.hpp): JSON for reports
+// and collapsed-stack flamegraph text. The operator-new counting hook also
+// lives in this translation unit's .cpp so any binary that pulls the
+// exporters in gets allocation counting for free.
 #pragma once
 
 #include <string>
@@ -12,14 +12,10 @@
 namespace blunt::obs {
 
 /// {"phases": {name: {"calls": int, "ns": int}}, "counters": {name: int}}.
-/// All integers, so dump/parse round-trips bit-for-bit (checkpoint
-/// identity). Zero-valued phases and counters are omitted — a snapshot's
-/// JSON depends only on the work it observed, never on enum layout.
+/// All integers, so dump/parse round-trips bit-for-bit. Zero-valued phases
+/// and counters are omitted — a snapshot's JSON depends only on the work it
+/// observed, never on enum layout.
 [[nodiscard]] Json profile_to_json(const ProfileSnapshot& snap);
-
-/// Inverse of profile_to_json. Unknown phase/counter names throw (a
-/// checkpoint written by a newer build must fail loudly, not drop work).
-[[nodiscard]] ProfileSnapshot profile_from_json(const Json& j);
 
 /// Collapsed-stack flamegraph text: one `root;...;phase <self_ns>` line per
 /// phase with calls > 0, stack path read off the static parent table, and

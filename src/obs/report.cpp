@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <stdexcept>
 #include <utility>
 
 #include "obs/trace_export.hpp"
@@ -28,8 +27,7 @@ Json snapshot_to_json(const MetricsSnapshot& s) {
     o["stddev"] = Json(h.stddev);
     o["min"] = Json(h.min);
     o["max"] = Json(h.max);
-    // Raw moments: these make serialized snapshots re-mergeable (the
-    // engine's shard checkpoints roundtrip through this JSON bit-exactly).
+    // Raw moments: with these a serialized histogram can be re-merged.
     o["sum"] = Json(h.sum);
     o["welford_mean"] = Json(h.welford_mean);
     o["m2"] = Json(h.m2);
@@ -43,52 +41,6 @@ Json snapshot_to_json(const MetricsSnapshot& s) {
   out["gauges"] = Json(std::move(gauges));
   out["histograms"] = Json(std::move(histograms));
   return Json(std::move(out));
-}
-
-MetricsSnapshot snapshot_from_json(const Json& j) {
-  const auto fail = [](const std::string& why) -> void {
-    throw std::runtime_error("snapshot_from_json: " + why);
-  };
-  if (!j.is_object()) fail("not an object");
-  MetricsSnapshot s;
-  if (const Json* counters = j.find("counters")) {
-    for (const auto& [name, v] : counters->as_object()) {
-      s.counters[name] = v.as_int();
-    }
-  }
-  if (const Json* gauges = j.find("gauges")) {
-    for (const auto& [name, v] : gauges->as_object()) {
-      s.gauges[name] = v.as_double();
-    }
-  }
-  if (const Json* histograms = j.find("histograms")) {
-    for (const auto& [name, hj] : histograms->as_object()) {
-      if (!hj.is_object()) fail("histogram \"" + name + "\" not an object");
-      MetricsSnapshot::HistogramData d;
-      for (const Json& b : hj.at("upper_bounds").as_array()) {
-        d.upper_bounds.push_back(b.as_double());
-      }
-      for (const Json& c : hj.at("counts").as_array()) {
-        d.counts.push_back(c.as_int());
-      }
-      if (d.counts.size() != d.upper_bounds.size() + 1) {
-        fail("histogram \"" + name + "\" counts/bounds size mismatch");
-      }
-      d.count = hj.at("count").as_int();
-      d.mean = hj.at("mean").as_double();
-      d.stddev = hj.at("stddev").as_double();
-      d.min = hj.at("min").as_double();
-      d.max = hj.at("max").as_double();
-      d.sum = hj.at("sum").as_double();
-      d.welford_mean = hj.at("welford_mean").as_double();
-      d.m2 = hj.at("m2").as_double();
-      d.percentiles.p50 = hj.at("p50").as_double();
-      d.percentiles.p90 = hj.at("p90").as_double();
-      d.percentiles.p99 = hj.at("p99").as_double();
-      s.histograms[name] = std::move(d);
-    }
-  }
-  return s;
 }
 
 BenchReport::BenchReport(std::string name)
@@ -241,12 +193,6 @@ std::string validate_report_json(const Json& j) {
   if (const Json* prof = j.find("profile");
       prof != nullptr && !prof->is_object()) {
     return "section \"profile\" present but not an object";
-  }
-  // And "workers": no longer written, but ledger entries from the retired
-  // multi-process runner may carry it — object when present.
-  if (const Json* workers = j.find("workers");
-      workers != nullptr && !workers->is_object()) {
-    return "section \"workers\" present but not an object";
   }
   return "";
 }

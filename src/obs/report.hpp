@@ -36,11 +36,6 @@ namespace blunt::obs {
 /// Registry snapshot -> the report's "registry" JSON section.
 [[nodiscard]] Json snapshot_to_json(const MetricsSnapshot& s);
 
-/// Inverse of snapshot_to_json (bit-exact roundtrip — histogram JSON carries
-/// the raw moments). Used by the experiment engine's shard checkpoints.
-/// Throws std::runtime_error on shape violations.
-[[nodiscard]] MetricsSnapshot snapshot_from_json(const Json& j);
-
 class BenchReport {
  public:
   /// `name` must match the binary: bench_<name> emits BENCH_<name>.json.

@@ -38,8 +38,8 @@ void EnabledView::Iterator::next_run() {
     const Event* run = nullptr;
     std::size_t n = 0;
     if (seg_ == 0) {
-      run = v.flat_;
-      n = v.nflat_;
+      run = v.resume_;
+      n = v.nresume_;
       ++seg_;
     } else if (seg_ <= v.nsources_) {
       const EventChunks& src = v.sources_[seg_ - 1];

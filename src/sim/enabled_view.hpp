@@ -133,30 +133,25 @@ inline void EventChunks::erase(int msg_id) {
   }
 }
 
-/// A read-only sequence of enabled events in canonical order. A view from
-/// World::enabled_events() reads the index in place — its elements (and the
-/// string_views inside them) are valid until the next enabled_events() or
-/// execute(), so code that executes while iterating must copy first
-/// (to_vector()). A view also converts implicitly from a std::vector<Event>,
-/// for adversary wrappers that build their own list; it then reads that
-/// vector.
+/// A read-only sequence of enabled events in canonical order, as
+/// World::enabled_events() hands it out. It reads the index in place — its
+/// elements (and the string_views inside them) are valid until the next
+/// enabled_events() or execute(), so code that executes while iterating must
+/// copy first (to_vector()).
 class EnabledView {
  public:
   class Iterator;
 
   EnabledView() = default;
-  // Implicit: adversary wrappers hand on a list they built.
-  EnabledView(const std::vector<Event>& events)  // NOLINT
-      : flat_(events.data()), nflat_(events.size()), size_(events.size()) {}
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  /// O(1) in the resume region and for vector-built views; a delivery walks
-  /// the sources and then the chunks of its own source.
+  /// O(1) in the resume region; a delivery walks the sources and then the
+  /// chunks of its own source.
   [[nodiscard]] const Event& operator[](std::size_t i) const {
-    if (i < nflat_) return flat_[i];
-    i -= nflat_;
+    if (i < nresume_) return resume_[i];
+    i -= nresume_;
     for (std::size_t s = 0; s < nsources_; ++s) {
       const std::size_t n = sources_[s].size();
       if (i < n) return sources_[s][i];
@@ -174,9 +169,9 @@ class EnabledView {
   /// Copies the events out. Their `what` views still borrow.
   [[nodiscard]] std::vector<Event> to_vector() const;
 
-  /// This view with its crash segment left out (a World view offers every
-  /// crash event there, as one contiguous block; a vector-built view has no
-  /// crash segment). Element i of it is element with_crashes_index(i) here.
+  /// This view with its crash segment left out (the World offers every crash
+  /// event there, as one contiguous block). Element i of it is element
+  /// with_crashes_index(i) here.
   [[nodiscard]] EnabledView without_crashes() const {
     EnabledView v = *this;
     v.crash_ = nullptr;
@@ -197,21 +192,20 @@ class EnabledView {
   EnabledView(const std::vector<Event>& resume,
               const std::vector<EventChunks>& sources,
               const std::vector<Event>* crash, const Event* tick)
-      : flat_(resume.data()),
-        nflat_(resume.size()),
+      : resume_(resume.data()),
+        nresume_(resume.size()),
         sources_(sources.data()),
         nsources_(sources.size()),
         crash_(crash != nullptr ? crash->data() : nullptr),
         ncrash_(crash != nullptr ? crash->size() : 0),
         tick_(tick) {
-    size_ = nflat_ + ncrash_ + (tick_ != nullptr ? 1 : 0);
+    size_ = nresume_ + ncrash_ + (tick_ != nullptr ? 1 : 0);
     for (std::size_t s = 0; s < nsources_; ++s) size_ += sources_[s].size();
   }
 
-  // Segments in canonical order. flat_ is the resume region of a World view,
-  // or the whole list of a vector-built one.
-  const Event* flat_ = nullptr;
-  std::size_t nflat_ = 0;
+  // Segments in canonical order.
+  const Event* resume_ = nullptr;
+  std::size_t nresume_ = 0;
   const EventChunks* sources_ = nullptr;
   std::size_t nsources_ = 0;
   const Event* crash_ = nullptr;
@@ -261,8 +255,9 @@ class EnabledView::Iterator {
   EnabledView view_;
   const Event* cur_ = nullptr;
   const Event* run_end_ = nullptr;
-  // The run after the current one: segment 0 is flat_, 1..nsources_ the
-  // sources (chunk by chunk), then the crash block, then the tick.
+  // The run after the current one: segment 0 is the resume region,
+  // 1..nsources_ the sources (chunk by chunk), then the crash block, then
+  // the tick.
   std::size_t seg_ = 0;
   std::size_t chunk_ = 0;
 };

@@ -1,14 +1,12 @@
-# Runs `blunt_exp ARGS` in an empty scratch bench dir with the ledger off and
-# passes only when the binary exits with a non-zero status and writes no
-# report. A hang (killed at TIMEOUT) or a crash is a failure too. The run
-# inherits this script's environment, so wrap it in `cmake -E env` to set a
-# knob:
+# Runs `blunt_exp ARGS` in an empty scratch bench dir and passes only when
+# the binary exits with a non-zero status and writes no report. A hang
+# (killed at TIMEOUT) or a crash is a failure too. The run inherits this
+# script's environment, so wrap it in `cmake -E env` to set a knob:
 #
 #   cmake -E env [NAME=VALUE...] cmake -DBLUNT_EXP=<binary> \
 #         -DDIR=<scratch dir> "-DARGS=<args>" -P blunt_exp_rejects.cmake
 file(REMOVE_RECURSE "${DIR}")
 file(MAKE_DIRECTORY "${DIR}")
-set(ENV{BLUNT_LEDGER} 0)
 set(ENV{BLUNT_BENCH_DIR} "${DIR}")
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(

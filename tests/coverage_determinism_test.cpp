@@ -1,16 +1,20 @@
 // Coverage under the engine's determinism contract: the merged CoverageMaps,
-// every coverage.* metric, and the shard-indexed coverage-growth curve must
-// be bit-identical for every --threads value, survive checkpoint/resume
-// exactly, and coverage-off runs must carry no coverage state at all.
+// every coverage.* metric, the shard-indexed coverage-growth curve and the
+// report's coverage section must be bit-identical for every --threads value,
+// and coverage-off runs must carry no coverage state at all.
 #include "exp/engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "exp/runner.hpp"
 #include "exp/workloads.hpp"
 #include "obs/coverage.hpp"
 
@@ -86,6 +90,33 @@ TEST(CoverageDeterminism, MergedMapsAndGrowthIdenticalAcrossThreadCounts) {
   }
 }
 
+/// The report `run_and_report` writes for `e` under `opts`, read back from
+/// a private bench directory.
+obs::Json written_report(const Experiment& e, const RunOptions& opts,
+                         const std::string& tag) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "blunt_cov_report_" + tag;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ::setenv("BLUNT_BENCH_DIR", dir.c_str(), 1);
+  EXPECT_EQ(run_and_report(e, opts), 0);
+  ::unsetenv("BLUNT_BENCH_DIR");
+  std::ifstream in(dir + "/BENCH_" + e.name + ".json");
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::filesystem::remove_all(dir);
+  return obs::Json::parse(text.str());
+}
+
+/// The report's coverage.* metrics, in key order.
+std::string coverage_metrics_dump(const obs::Json& report) {
+  std::string out;
+  for (const auto& [key, v] : report.at("metrics").as_object()) {
+    if (key.rfind("coverage.", 0) == 0) out += key + "=" + v.dump() + ";";
+  }
+  return out;
+}
+
 TEST(CoverageDeterminism, Theorem42CoverageIdenticalAcrossThreadCounts) {
   register_builtin_experiments();
   const Experiment* e = find_experiment("theorem42_bound");
@@ -105,6 +136,23 @@ TEST(CoverageDeterminism, Theorem42CoverageIdenticalAcrossThreadCounts) {
     EXPECT_EQ(out.merged.to_json().dump(), want) << threads << " threads";
     EXPECT_EQ(growth_dump(out.info.coverage_growth), want_growth)
         << threads << " threads";
+  }
+
+  // The written reports: the coverage section and every coverage.* metric
+  // match at 1 and 2 threads, and the run is stamped engine_coverage.
+  const obs::Json one = written_report(*e, base, "t1");
+  RunOptions two_threads = base;
+  two_threads.threads = 2;
+  const obs::Json two = written_report(*e, two_threads, "t2");
+  ASSERT_NE(one.find("coverage"), nullptr);
+  ASSERT_NE(two.find("coverage"), nullptr);
+  EXPECT_EQ(one.at("coverage").dump(), two.at("coverage").dump());
+  EXPECT_NE(coverage_metrics_dump(one), "");
+  EXPECT_EQ(coverage_metrics_dump(one), coverage_metrics_dump(two));
+  for (const obs::Json* report : {&one, &two}) {
+    const obs::Json* stamp = report->at("environment").find("engine_coverage");
+    ASSERT_NE(stamp, nullptr);
+    EXPECT_EQ(stamp->as_int(), 1);
   }
 }
 
@@ -128,44 +176,6 @@ TEST(CoverageDeterminism, CoverageDoesNotPerturbTrialResults) {
   EXPECT_TRUE(plain.merged.coverage_maps().empty());
   EXPECT_FALSE(plain.info.coverage);
   EXPECT_TRUE(plain.info.coverage_growth.empty());
-}
-
-class TempCheckpoint {
- public:
-  explicit TempCheckpoint(const std::string& tag)
-      : path_(std::string(::testing::TempDir()) + "blunt_cov_ckpt_" + tag +
-              ".jsonl") {
-    std::remove(path_.c_str());
-  }
-  ~TempCheckpoint() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-TEST(CoverageDeterminism, CheckpointResumePreservesCoverageExactly) {
-  const Experiment e = make_coverage_synthetic();
-  const RunOutput direct = run_trials(e, opts_with(2, /*coverage=*/true));
-  const std::string want = direct.merged.to_json().dump();
-  const std::string want_growth = growth_dump(direct.info.coverage_growth);
-
-  TempCheckpoint cp("resume");
-  RunOptions chunk = opts_with(2, /*coverage=*/true);
-  chunk.checkpoint_path = cp.path();
-  chunk.max_shards = 5;  // 21 shards -> several chunks
-  int chunks = 0;
-  RunOutput out;
-  do {
-    out = run_trials(e, chunk);
-    ++chunks;
-    ASSERT_LT(chunks, 50) << "chunked run failed to converge";
-  } while (!out.info.complete);
-  EXPECT_GE(chunks, 4);
-  // The final fold mixes freshly-run shards with shards deserialized from
-  // the checkpoint — coverage sets and growth must still match bit for bit.
-  EXPECT_EQ(out.merged.to_json().dump(), want);
-  EXPECT_EQ(growth_dump(out.info.coverage_growth), want_growth);
 }
 
 }  // namespace

@@ -62,13 +62,9 @@ CrashRun run_with_crash(std::uint64_t seed, Pid victim, int delay, int k) {
   // Run `delay` random steps, then crash the victim, then run to the end.
   NoCrashUniform adv(seed * 7 + 3);
   for (int i = 0; i < delay && !w->finished(); ++i) {
-    const auto events = w->enabled_events();
-    std::vector<sim::Event> non_crash;
-    for (const auto& e : events) {
-      if (e.kind != sim::Event::Kind::kCrash) non_crash.push_back(e);
-    }
-    if (non_crash.empty()) break;
-    w->execute(non_crash[adv.choose(*w, non_crash)]);
+    const sim::EnabledView events = w->enabled_events();
+    if (events.without_crashes().empty()) break;
+    w->execute(events[adv.choose(*w, events)]);
   }
   if (!w->crashed(victim) && !w->process_done(victim) && !w->finished()) {
     for (const auto& e : w->enabled_events()) {

@@ -176,8 +176,7 @@ TEST(EnabledIndex, WideWorldMatchesRescanOracle) {
 }
 
 /// Checks every way of reading `view` against the rescan oracle: range-for,
-/// operator[], to_vector(), a vector-built view of the copy, and the
-/// crash-free view with its index mapping.
+/// operator[], to_vector(), and the crash-free view with its index mapping.
 void expect_view_matches_rescan(const sim::World& w,
                                 const sim::EnabledView& view) {
   const std::vector<sim::Event> oracle = w.enabled_events_rescan();
@@ -190,12 +189,7 @@ void expect_view_matches_rescan(const sim::World& w,
     ++i;
   }
   EXPECT_EQ(i, oracle.size());
-  const std::vector<sim::Event> copy = view.to_vector();
-  EXPECT_EQ(copy, oracle);
-  const sim::EnabledView flat = copy;
-  ASSERT_EQ(flat.size(), copy.size());
-  for (std::size_t j = 0; j < copy.size(); ++j) EXPECT_EQ(flat[j], copy[j]);
-  EXPECT_EQ(flat.to_vector(), copy);
+  EXPECT_EQ(view.to_vector(), oracle);
   std::vector<sim::Event> no_crash;
   for (const sim::Event& e : oracle) {
     if (e.kind != sim::Event::Kind::kCrash) no_crash.push_back(e);

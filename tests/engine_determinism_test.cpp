@@ -1,14 +1,12 @@
 // The experiment engine's determinism contract (src/exp): merged results are
 // bit-identical for every --threads value, seeds derive purely from
-// (experiment_seed, trial_index), checkpoint/resume reproduces the same
-// bits, and the builtin experiments' reports carry thread-count-independent
-// metrics sections. The report path (run_and_report) writes one validated
-// report and one ledger entry per completed run, and none for a chunk.
+// (experiment_seed, trial_index), and the builtin experiments' reports carry
+// thread-count-independent metrics sections. The report path
+// (run_and_report) writes one validated report per run.
 #include "exp/engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -18,7 +16,6 @@
 
 #include "exp/runner.hpp"
 #include "exp/seed.hpp"
-#include "obs/ledger.hpp"
 #include "obs/report.hpp"
 
 namespace blunt::exp {
@@ -85,7 +82,6 @@ TEST(Engine, MergedResultBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(out.merged.to_json().dump(), want)
         << "merged result diverged at " << threads << " threads";
     EXPECT_EQ(out.info.threads, threads);
-    EXPECT_TRUE(out.info.complete);
   }
 }
 
@@ -105,7 +101,6 @@ TEST(Engine, TrialContextCarriesLayoutAndDerivedSeeds) {
   const RunOutput out = run_trials(e, opts_with(4, /*shard_size=*/8));
   EXPECT_EQ(out.merged.counter_or("seen"), 40);
   EXPECT_EQ(out.info.shards_total, 5);
-  EXPECT_EQ(out.info.shards_executed, 5);
 }
 
 TEST(Engine, IntegerComponentsInvariantUnderShardSize) {
@@ -146,116 +141,8 @@ TEST(Engine, TimingSweepRecordsWallClocksAndSelfChecks) {
   // the self-check passed.
 }
 
-class TempCheckpoint {
- public:
-  explicit TempCheckpoint(const std::string& tag)
-      : path_(std::string(::testing::TempDir()) + "blunt_exp_ckpt_" + tag +
-              ".jsonl") {
-    std::remove(path_.c_str());
-  }
-  ~TempCheckpoint() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-TEST(EngineCheckpoint, ChunkedRunMatchesDirectRunBitForBit) {
-  const Experiment e = make_synthetic();
-  const std::string want = run_trials(e, opts_with(2)).merged.to_json().dump();
-
-  TempCheckpoint cp("chunked");
-  RunOptions chunk = opts_with(2);
-  chunk.checkpoint_path = cp.path();
-  chunk.max_shards = 5;  // 333 trials / 16 = 21 shards -> several chunks
-  int chunks = 0;
-  RunOutput out;
-  do {
-    out = run_trials(e, chunk);
-    ++chunks;
-    ASSERT_LT(chunks, 50) << "chunked run failed to converge";
-  } while (!out.info.complete);
-  EXPECT_GE(chunks, 4);
-  EXPECT_GT(out.info.shards_resumed, 0);
-  EXPECT_EQ(out.merged.to_json().dump(), want);
-  // The checkpoint file is removed once the run completes.
-  std::ifstream in(cp.path());
-  EXPECT_FALSE(in.good());
-}
-
-TEST(EngineCheckpoint, ResumedShardsAreNotReRun) {
-  const Experiment e = make_synthetic();
-  TempCheckpoint cp("full");
-  RunOptions o = opts_with(2);
-  o.checkpoint_path = cp.path();
-  o.max_shards = 1000;  // finish in one chunk, but keep checkpointing on
-  const RunOutput first = run_trials(e, o);
-  EXPECT_TRUE(first.info.complete);
-  // Simulate an interrupted final step: write the shards back ourselves by
-  // re-running with max_shards that stops before completion.
-  RunOptions partial = o;
-  partial.max_shards = 7;
-  const RunOutput chunk = run_trials(e, partial);
-  EXPECT_FALSE(chunk.info.complete);
-  const RunOutput resumed = run_trials(e, o);
-  EXPECT_TRUE(resumed.info.complete);
-  EXPECT_EQ(resumed.info.shards_resumed, 7);
-  EXPECT_EQ(resumed.info.shards_executed,
-            resumed.info.shards_total - 7);
-  EXPECT_EQ(resumed.merged.to_json().dump(),
-            first.merged.to_json().dump());
-}
-
-TEST(EngineCheckpoint, MismatchedCheckpointLinesAreIgnored) {
-  const Experiment e = make_synthetic();
-  TempCheckpoint cp("stale");
-  // Seed a checkpoint under a DIFFERENT experiment seed; its shards must not
-  // be resumed into this run.
-  RunOptions other = opts_with(2);
-  other.has_seed = true;
-  other.seed = 999;
-  other.checkpoint_path = cp.path();
-  other.max_shards = 3;
-  (void)run_trials(e, other);
-  // Plus a torn line.
-  {
-    std::ofstream out(cp.path(), std::ios::app);
-    out << "{\"schema\": \"blunt-exp-shard\", \"trunc";
-  }
-  RunOptions mine = opts_with(2);
-  mine.checkpoint_path = cp.path();
-  const RunOutput out = run_trials(e, mine);
-  EXPECT_EQ(out.info.shards_resumed, 0);
-  EXPECT_EQ(out.merged.to_json().dump(),
-            run_trials(e, opts_with(2)).merged.to_json().dump());
-}
-
-TEST(EngineCheckpoint, TornTailDoesNotSwallowTheNextShard) {
-  const Experiment e = make_synthetic();
-  TempCheckpoint cp("torn_tail");
-  RunOptions chunk = opts_with(2);
-  chunk.checkpoint_path = cp.path();
-  chunk.max_shards = 3;
-  ASSERT_EQ(run_trials(e, chunk).info.shards_executed, 3);
-  // A kill mid-append: half of a shard line, no newline.
-  std::string line;
-  {
-    std::ifstream in(cp.path());
-    ASSERT_TRUE(std::getline(in, line));
-  }
-  {
-    std::ofstream out(cp.path(), std::ios::app);
-    out << line.substr(0, line.size() / 2);
-  }
-  const RunOutput second = run_trials(e, chunk);
-  EXPECT_EQ(second.info.shards_resumed, 3);
-  EXPECT_EQ(second.info.shards_executed, 3);
-  // Every shard the second chunk appended must survive the fragment.
-  EXPECT_EQ(run_trials(e, chunk).info.shards_resumed, 6);
-}
-
-/// Points reports and the ledger at a fresh private directory for the
-/// lifetime of one test.
+/// Points reports at a fresh private directory for the lifetime of one
+/// test.
 class ReportSandbox {
  public:
   explicit ReportSandbox(const std::string& tag)
@@ -263,22 +150,14 @@ class ReportSandbox {
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     ::setenv("BLUNT_BENCH_DIR", dir_.c_str(), 1);
-    ::setenv("BLUNT_LEDGER", "1", 1);
-    ::setenv("BLUNT_LEDGER_PATH", ledger().c_str(), 1);
-    ::setenv("BLUNT_GIT_SHA", "0123456789abcdef0123456789abcdef01234567", 1);
   }
   ~ReportSandbox() {
-    for (const char* name : {"BLUNT_BENCH_DIR", "BLUNT_LEDGER",
-                             "BLUNT_LEDGER_PATH", "BLUNT_GIT_SHA"}) {
-      ::unsetenv(name);
-    }
+    ::unsetenv("BLUNT_BENCH_DIR");
     std::filesystem::remove_all(dir_);
   }
   ReportSandbox(const ReportSandbox&) = delete;
   ReportSandbox& operator=(const ReportSandbox&) = delete;
 
-  [[nodiscard]] std::string ledger() const { return dir_ + "/ledger.jsonl"; }
-  [[nodiscard]] std::string checkpoint() const { return dir_ + "/ck.jsonl"; }
   [[nodiscard]] std::string report_path(const Experiment& e) const {
     return dir_ + "/BENCH_" + e.name + ".json";
   }
@@ -308,23 +187,20 @@ Experiment make_reporting() {
   return e;
 }
 
-TEST(EngineReport, WritesOneValidReportAndLedgerEntryPerRun) {
+TEST(EngineReport, WritesOneValidReportPerRun) {
   const Experiment e = make_reporting();
   const ReportSandbox box("runs");
   ASSERT_EQ(run_and_report(e, opts_with(1)), 0);
   const obs::Json one = box.report(e);
   EXPECT_EQ(obs::validate_report_json(one), "");
   const obs::Json& env = one.at("environment");
-  for (const char* key :
-       {"engine_threads", "engine_shard_size", "engine_trials", "engine_seed",
-        "engine_shards_total", "engine_shards_resumed",
-        "engine_shards_executed"}) {
+  for (const char* key : {"engine_threads", "engine_shard_size",
+                          "engine_trials", "engine_seed",
+                          "engine_shards_total"}) {
     EXPECT_NE(env.find(key), nullptr) << key;
   }
   EXPECT_EQ(env.at("engine_trials").as_int(), 100);
   EXPECT_NE(one.at("timings_ms").find("engine_trials"), nullptr);
-  EXPECT_EQ(one.find("workers"), nullptr);
-  EXPECT_EQ(obs::load_ledger(box.ledger()).entries.size(), 1u);
 
   // Threads change provenance and timings only.
   ASSERT_EQ(run_and_report(e, opts_with(2)), 0);
@@ -333,26 +209,6 @@ TEST(EngineReport, WritesOneValidReportAndLedgerEntryPerRun) {
   EXPECT_EQ(two.at("environment").at("engine_threads").as_int(), 2);
   EXPECT_EQ(one.at("metrics").dump(), two.at("metrics").dump());
   EXPECT_EQ(one.at("registry").dump(), two.at("registry").dump());
-  EXPECT_EQ(obs::load_ledger(box.ledger()).entries.size(), 2u);
-}
-
-TEST(EngineReport, ShardBudgetStopDefersTheReportToTheCompletingRerun) {
-  const Experiment e = make_reporting();
-  const ReportSandbox box("chunk");
-  RunOptions chunk = opts_with(2);
-  chunk.checkpoint_path = box.checkpoint();
-  chunk.max_shards = 3;
-  EXPECT_EQ(run_and_report(e, chunk), 0);
-  EXPECT_FALSE(std::filesystem::exists(box.report_path(e)));
-  EXPECT_TRUE(std::filesystem::exists(box.checkpoint()));
-  EXPECT_TRUE(obs::load_ledger(box.ledger()).entries.empty());
-
-  chunk.max_shards = 0;
-  EXPECT_EQ(run_and_report(e, chunk), 0);
-  EXPECT_FALSE(std::filesystem::exists(box.checkpoint()));
-  EXPECT_EQ(
-      box.report(e).at("environment").at("engine_shards_resumed").as_int(), 3);
-  EXPECT_EQ(obs::load_ledger(box.ledger()).entries.size(), 1u);
 }
 
 TEST(BuiltinExperiments, Theorem42MetricsThreadCountIndependent) {

@@ -1,10 +1,15 @@
 // Crash-tolerant corpus journal: JSON round-trips, torn/foreign-line
 // tolerance, concurrent append atomicity, and the canonical-compaction
-// invariant (any append order, any duplication — identical bytes).
+// invariant (any append order, any duplication — identical bytes). Also the
+// hardened flock under the journal (obs/lockfile.hpp): its backoff schedule,
+// its retry counter, and whole-line appends under contention.
 #include "fuzz/corpus.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -12,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/lockfile.hpp"
 #include "sim/world.hpp"
 
 namespace blunt::fuzz {
@@ -227,6 +233,107 @@ TEST(CorpusCompaction, KillAndResumeYieldsByteIdenticalCorpus) {
   write_compacted(load_corpus(clean.path()), cc.path());
   write_compacted(loaded, cr.path());
   EXPECT_EQ(slurp(cc.path()), slurp(cr.path()));
+}
+
+TEST(Lockfile, BackoffIsDeterministicBoundedAndJittered) {
+  obs::LockRetryPolicy p;
+  p.base_backoff_us = 50;
+  p.seed = 1234;
+  for (int attempt = 0; attempt < 12; ++attempt) {
+    const std::int64_t us = obs::lock_backoff_us(p, attempt);
+    // Pure in (policy, attempt): the schedule is pinnable.
+    EXPECT_EQ(us, obs::lock_backoff_us(p, attempt));
+    // Exponential base plus jitter in [0, base * 2^attempt) — never less
+    // than the base, never twice it (the attempt exponent is capped, so
+    // large attempt values stay bounded instead of overflowing).
+    const int capped = attempt > 20 ? 20 : attempt;
+    const std::int64_t base = p.base_backoff_us * (1LL << capped);
+    EXPECT_GE(us, base);
+    EXPECT_LT(us, 2 * base);
+  }
+  EXPECT_EQ(obs::lock_backoff_us(p, 50), obs::lock_backoff_us(p, 50));
+
+  // Different seeds decorrelate the jitter (writers seed from pid so a
+  // thundering herd does not retry in lockstep).
+  obs::LockRetryPolicy q = p;
+  q.seed = 99;
+  bool any_differs = false;
+  for (int attempt = 0; attempt < 12; ++attempt) {
+    any_differs |=
+        obs::lock_backoff_us(p, attempt) != obs::lock_backoff_us(q, attempt);
+  }
+  EXPECT_TRUE(any_differs);
+}
+
+TEST(Lockfile, RetryCounterCountsContendedAttempts) {
+  TempFile f("contended");
+  obs::locked_append(f.path(), "first\n");
+
+  obs::reset_lock_retries();
+  EXPECT_EQ(obs::lock_retries(), 0);
+
+  // Hold the flock from one descriptor while another tries non-blocking
+  // acquisition: every miss lands in the process-global retry counter.
+  // (flock ownership is per open file description, so two opens in one
+  // process contend exactly like two processes.)
+  const int holder = ::open(f.path().c_str(), O_RDWR);
+  ASSERT_GE(holder, 0);
+  obs::LockRetryPolicy quick;
+  quick.max_retries = 3;
+  quick.base_backoff_us = 1;
+  ASSERT_TRUE(obs::acquire_file_lock(holder, quick));
+  EXPECT_EQ(obs::lock_retries(), 0);  // uncontended: no retries
+
+  std::thread contender([&] {
+    // Blocks until the holder releases; its non-blocking attempts miss.
+    obs::locked_append(f.path(), "second\n", quick);
+  });
+  // Give the contender time to burn through its non-blocking attempts
+  // (3 retries at ~1-8us backoff), then let it through.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_GE(obs::lock_retries(), quick.max_retries);
+  obs::release_file_lock(holder);
+  contender.join();
+  ::close(holder);
+
+  // The contended append landed whole, after the first line.
+  std::ifstream in(f.path());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string>{"first", "second"}));
+  obs::reset_lock_retries();
+}
+
+TEST(Lockfile, ConcurrentLockedAppendsNeverTearLines) {
+  TempFile f("lock_torn");
+  constexpr int kThreads = 8;
+  constexpr int kLines = 25;
+  std::vector<std::thread> writers;
+  writers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      obs::LockRetryPolicy p;
+      p.seed = static_cast<std::uint64_t>(t);
+      p.base_backoff_us = 1;
+      for (int i = 0; i < kLines; ++i) {
+        const std::string line =
+            "w" + std::to_string(t) + ":" + std::to_string(i);
+        obs::locked_append(f.path(), line + "\n", p);
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+
+  std::ifstream in(f.path());
+  std::string line;
+  int count = 0;
+  while (std::getline(in, line)) {
+    // Every line is exactly one writer's record — no interleaving.
+    ASSERT_EQ(line.find('w'), 0u) << line;
+    ASSERT_EQ(line.find(':'), line.rfind(':')) << line;
+    ++count;
+  }
+  EXPECT_EQ(count, kThreads * kLines);
 }
 
 }  // namespace

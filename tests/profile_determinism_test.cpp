@@ -1,13 +1,12 @@
 // Profiling under the engine's determinism contract: merged exact profile
-// counters must be bit-identical for every --threads value and survive
-// checkpoint/resume exactly (Accumulator::canonical_dump zeroes the advisory
-// wall-clock so only exact state is compared), profile-off runs must carry
-// no profile state at all, and profiling must never perturb trial results.
+// counters must be bit-identical for every --threads value
+// (Accumulator::canonical_dump zeroes the advisory wall-clock so only exact
+// state is compared), profile-off runs must carry no profile state at all,
+// and profiling must never perturb trial results.
 #include "exp/engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "exp/workloads.hpp"
@@ -102,44 +101,6 @@ TEST(ProfileDeterminism, ProfileOffCarriesNoStateAndProfilingDoesNotPerturb) {
   // Profiling changes nothing about the trial results themselves.
   const RunOutput on = run_trials(e, opts_with(2, /*profile=*/true));
   EXPECT_EQ(off.merged.counter_or("n"), on.merged.counter_or("n"));
-}
-
-class TempCheckpoint {
- public:
-  explicit TempCheckpoint(const std::string& tag)
-      : path_(std::string(::testing::TempDir()) + "blunt_prof_ckpt_" + tag +
-              ".jsonl") {
-    std::remove(path_.c_str());
-  }
-  ~TempCheckpoint() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-TEST(ProfileDeterminism, CheckpointResumePreservesProfilesExactly) {
-  const Experiment e = make_profile_synthetic();
-  const RunOutput direct = run_trials(e, opts_with(2, /*profile=*/true));
-  const std::string want = direct.merged.canonical_dump();
-
-  TempCheckpoint cp("resume");
-  RunOptions chunk = opts_with(2, /*profile=*/true);
-  chunk.checkpoint_path = cp.path();
-  chunk.max_shards = 5;  // 21 shards -> several chunks
-  int chunks = 0;
-  RunOutput out;
-  do {
-    out = run_trials(e, chunk);
-    ++chunks;
-    ASSERT_LT(chunks, 50) << "chunked run failed to converge";
-  } while (!out.info.complete);
-  EXPECT_GE(chunks, 4);
-  // The final fold mixes freshly-run shards with shards deserialized from
-  // the checkpoint — exact profile counters must still match bit for bit.
-  EXPECT_EQ(out.merged.canonical_dump(), want);
-  EXPECT_EQ(out.merged.profile("all").counter(obs::ProfCounter::kStepsExecuted),
-            333);
 }
 
 }  // namespace

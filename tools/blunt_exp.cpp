@@ -2,33 +2,25 @@
 //
 //   blunt_exp --list
 //   blunt_exp run <experiment> [--threads N] [--trials N] [--seed S]
-//                 [--shard-size N] [--checkpoint FILE] [--max-shards N]
-//                 [--timing-sweep T1,T2,...] [--bench-dir DIR]
-//                 [--coverage] [--profile]
-//                 [--progress FILE] [--progress-interval MS]
-//   blunt_exp watch FILE [--poll MS]
+//                 [--shard-size N] [--timing-sweep T1,T2,...]
+//                 [--bench-dir DIR] [--coverage] [--profile]
 //
 // Runs a registered experiment on the deterministic parallel engine
 // (src/exp): trials shard across a work-stealing pool, per-trial seeds
 // derive purely from (seed, trial index), and the merged result — and hence
 // the report's metrics section — is bit-identical for every --threads value.
-// Reports are the standard schema-v1 BENCH_<name>.json files plus one ledger
-// append, exactly like the bench binaries they replace.
+// Reports are the standard schema-v1 BENCH_<name>.json files, exactly like
+// the bench binaries they replace. A run that was killed is recovered by
+// running it again.
 //
-// --checkpoint FILE enables shard-granular resume: finished shards append to
-// FILE, an interrupted (even killed) run picks up where it left off, and
-// --max-shards N time-boxes each chunk (the run exits after N new shards;
-// rerun to continue). --timing-sweep re-runs the trial phase at extra thread
-// counts, records each wall clock in timings_ms, and asserts the merged
-// results are bit-identical — the engine's built-in determinism self-check.
+// --timing-sweep re-runs the trial phase at extra thread counts, records
+// each wall clock in timings_ms, and asserts the merged results are
+// bit-identical — the engine's built-in determinism self-check.
 //
 // --coverage turns on execution-coverage fingerprinting (schedule hashes,
 // interleaving n-grams, object histories — see obs/fingerprint.hpp): the
 // report gains coverage.* metrics and the shard-indexed coverage-growth
-// curve, all bit-identical for every --threads value. --progress FILE
-// appends live heartbeat JSONL (exp/progress.hpp schema) from a sampler
-// thread; `blunt_exp watch FILE` tails such a file into a one-line status
-// display and exits when the run's final done=true record lands.
+// curve, all bit-identical for every --threads value.
 //
 // --profile turns on the deterministic profiler (obs/prof.hpp): trial worlds
 // attribute work to per-subsystem phases and exact counters, the report
@@ -43,7 +35,6 @@
 #include <vector>
 
 #include "exp/parse.hpp"
-#include "exp/progress.hpp"
 #include "exp/runner.hpp"
 
 namespace {
@@ -67,31 +58,23 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --list\n"
       "       %s run <experiment> [--threads N] [--trials N] [--seed S]\n"
-      "           [--shard-size N] [--checkpoint FILE] [--max-shards N]\n"
-      "           [--timing-sweep T1,T2,...] [--bench-dir DIR]\n"
-      "           [--coverage] [--profile]\n"
-      "           [--progress FILE] [--progress-interval MS]\n"
-      "       %s watch FILE [--poll MS]\n",
-      argv0, argv0, argv0);
+      "           [--shard-size N] [--timing-sweep T1,T2,...]\n"
+      "           [--bench-dir DIR] [--coverage] [--profile]\n",
+      argv0, argv0);
   return 2;
 }
 
-int watch_main(int argc, char** argv, const char* argv0) {
-  // argv[0..] is the FILE operand plus an optional --poll MS.
-  std::vector<std::string> paths;
-  int poll_ms = 250;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--poll") == 0 && i + 1 < argc) {
-      poll_ms = parse_number<int>("--poll", argv[++i]);
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "unknown watch flag %s\n", argv[i]);
-      return usage(argv0);
-    } else {
-      paths.emplace_back(argv[i]);
-    }
+/// A count flag's value. A negative count would read as "use the default",
+/// so it is refused, naming the flag, with exit 2.
+template <typename T>
+T parse_count(const std::string& flag, const std::string& text) {
+  const T v = parse_number<T>(flag, text);
+  if (v < 0) {
+    std::fprintf(stderr, "%s: '%s' must not be negative\n", flag.c_str(),
+                 text.c_str());
+    std::exit(2);
   }
-  if (paths.size() != 1) return usage(argv0);
-  return blunt::exp::watch_progress(paths[0], poll_ms, stdout);
+  return v;
 }
 
 /// Comma-separated thread counts; non-positive entries are dropped.
@@ -116,10 +99,6 @@ int main(int argc, char** argv) {
       std::strcmp(argv[1], "list") == 0) {
     return list_experiments();
   }
-  if (std::strcmp(argv[1], "watch") == 0 ||
-      std::strcmp(argv[1], "--watch") == 0) {
-    return watch_main(argc - 2, argv + 2, argv[0]);
-  }
   if (std::strcmp(argv[1], "run") != 0 || argc < 3) return usage(argv[0]);
 
   const std::string name = argv[2];
@@ -137,16 +116,12 @@ int main(int argc, char** argv) {
       opts.threads = parse_number<int>(flag, value());
       if (opts.threads < 1) opts.threads = 1;
     } else if (flag == "--trials") {
-      opts.trials = parse_number<std::int64_t>(flag, value());
+      opts.trials = parse_count<std::int64_t>(flag, value());
     } else if (flag == "--seed") {
       opts.has_seed = true;
       opts.seed = parse_number<std::uint64_t>(flag, value());
     } else if (flag == "--shard-size") {
-      opts.shard_size = parse_number<int>(flag, value());
-    } else if (flag == "--checkpoint") {
-      opts.checkpoint_path = value();
-    } else if (flag == "--max-shards") {
-      opts.max_shards = parse_number<int>(flag, value());
+      opts.shard_size = parse_count<int>(flag, value());
     } else if (flag == "--timing-sweep") {
       opts.timing_sweep = parse_thread_list(value());
     } else if (flag == "--bench-dir") {
@@ -155,10 +130,6 @@ int main(int argc, char** argv) {
       opts.coverage = true;
     } else if (flag == "--profile") {
       opts.profile = true;
-    } else if (flag == "--progress") {
-      opts.progress_path = value();
-    } else if (flag == "--progress-interval") {
-      opts.progress_interval_ms = parse_number<int>(flag, value());
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return usage(argv[0]);
