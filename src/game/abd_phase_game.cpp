@@ -2,10 +2,9 @@
 
 #include <array>
 #include <bit>
-#include <cstring>
-#include <sstream>
-#include <type_traits>
-#include <vector>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "common/assert.hpp"
 
@@ -18,12 +17,12 @@ constexpr int kNodes = 3;
 constexpr int kQuorum = 2;
 constexpr int kOps = 4;  // W0, W1, R1, R2
 
-// (value, timestamp) with value -2 = ⊥. All-int fields keep State trivially
-// copyable with no padding, so the canonical encoding is a raw memcpy.
+// (value, timestamp) with value -2 = ⊥. All-int8 fields keep State
+// trivially copyable with no padding, so the canonical encoding is its bytes.
 struct Pair {
-  std::int32_t val = -2;
-  std::int32_t num = 0;
-  std::int32_t pid = 0;
+  std::int8_t val = -2;
+  std::int8_t num = 0;
+  std::int8_t pid = 0;
 
   [[nodiscard]] bool ts_less(const Pair& o) const {
     return num != o.num ? num < o.num : pid < o.pid;
@@ -34,13 +33,13 @@ struct Pair {
   friend bool operator==(const Pair&, const Pair&) = default;
 };
 
-enum Stage : std::int32_t { kQuery = 0, kChoosing = 1, kUpdate = 2, kDone = 3 };
+enum Stage : std::int8_t { kQuery = 0, kChoosing = 1, kUpdate = 2, kDone = 3 };
 
 struct OpState {
-  std::int32_t stage = kQuery;
-  std::int32_t iter = 0;                // current query iteration
-  std::int32_t replied = 0;             // nodes that replied in this phase
-  std::int32_t processed = 0;           // nodes that processed the update
+  std::int8_t stage = kQuery;
+  std::int8_t iter = 0;                 // current query iteration
+  std::int8_t replied = 0;              // nodes that replied in this phase
+  std::int8_t processed = 0;            // nodes that processed the update
   std::array<Pair, kNodes> reply{};     // captured replies (where bit set)
   std::array<Pair, kMaxK> results{};    // finished iteration results
   Pair upd;                             // update payload
@@ -59,36 +58,22 @@ struct OpState {
 struct State {
   std::array<Pair, kNodes> node{};  // replica (val, ts)
   std::array<OpState, kOps> op{};
-  std::int32_t coin = -1;            // -1 = undrawn
-  std::int32_t flip_pending = 0;
-  std::int32_t choice_pending = -1;  // op whose object random step is firing
-  std::int32_t c_written = 0;        // p1 wrote C
-  std::int32_t cl = -3;              // p2's read of C (-3 unset, -1 initial)
-  std::int32_t u1 = -3;              // R1 result (-3 unset; -2 ⊥)
-  std::int32_t u2 = -3;
-  std::int32_t pad = 0;              // keep size a multiple of 8
-
-  [[nodiscard]] std::string encode() const {
-    std::string s(sizeof(State), '\0');
-    std::memcpy(s.data(), this, sizeof(State));
-    return s;
-  }
-
-  static State decode(const std::string& s) {
-    BLUNT_ASSERT(s.size() == sizeof(State), "bad AbdPhaseWeakenerGame state");
-    State st;
-    std::memcpy(&st, s.data(), sizeof(State));
-    return st;
-  }
+  std::int8_t coin = -1;            // -1 = undrawn
+  std::int8_t flip_pending = 0;
+  std::int8_t choice_pending = -1;  // op whose object random step is firing
+  std::int8_t c_written = 0;        // p1 wrote C
+  std::int8_t cl = -3;              // p2's read of C (-3 unset, -1 initial)
+  std::int8_t u1 = -3;              // R1 result (-3 unset; -2 ⊥)
+  std::int8_t u2 = -3;
 };
 
-static_assert(std::is_trivially_copyable_v<State>);
-static_assert(sizeof(Pair) == 12);
-static_assert(sizeof(OpState) == 4 * 4 + 12 * (kNodes + kMaxK) + 12);
+static_assert(sizeof(Pair) == 3);
+static_assert(sizeof(OpState) == 4 + 3 * (kNodes + kMaxK) + 3);
+static_assert(sizeof(State) == 128);
 
 // Value each write op installs; reads install their chosen pair.
-constexpr int kOpWriteValue[kOps] = {0, 1, -1, -1};
-constexpr int kOpPid[kOps] = {0, 1, 2, 2};
+constexpr std::int8_t kOpWriteValue[kOps] = {0, 1, -1, -1};
+constexpr std::int8_t kOpPid[kOps] = {0, 1, 2, 2};
 const char* kOpName[kOps] = {"W0", "W1", "R1", "R2"};
 
 bool op_is_read(int o) { return o >= 2; }
@@ -110,7 +95,11 @@ void enter_update(State& st, int o, Pair chosen) {
   if (op_is_read(o)) {
     op.upd = chosen;  // write-back
   } else {
-    op.upd = Pair{kOpWriteValue[o], chosen.num + 1, kOpPid[o]};
+    BLUNT_ASSERT(chosen.num < std::numeric_limits<std::int8_t>::max(),
+                 "AbdPhaseWeakenerGame timestamp overflows int8: "
+                     << int{chosen.num});
+    op.upd = Pair{kOpWriteValue[o], static_cast<std::int8_t>(chosen.num + 1),
+                  kOpPid[o]};
   }
 }
 
@@ -131,10 +120,14 @@ void finish_query(State& st, int o, const Pair& res, int k) {
 
 void finish_update(State& st, int o) {
   OpState& op = st.op[static_cast<std::size_t>(o)];
-  const std::int32_t v = op.upd.val;
+  const std::int8_t v = op.upd.val;
   op.canonicalize_done();
   if (o == 2) st.u1 = v;
   if (o == 3) st.u2 = v;
+}
+
+std::string op_label(int o, const char* what) {
+  return std::string(kOpName[o]) + what;
 }
 
 }  // namespace
@@ -143,11 +136,14 @@ AbdPhaseWeakenerGame::AbdPhaseWeakenerGame(int k) : k_(k) {
   BLUNT_ASSERT(k >= 1 && k <= kMaxK, "k must be in [1," << kMaxK << "]");
 }
 
-std::string AbdPhaseWeakenerGame::initial() const { return State{}.encode(); }
+std::string_view AbdPhaseWeakenerGame::initial() const {
+  static const State kInitial{};
+  return state_bytes(kInitial);
+}
 
-Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
-  State st = State::decode(encoded);
-  Expansion e;
+void AbdPhaseWeakenerGame::expand(std::string_view encoded,
+                                  Expansion& e) const {
+  const State st = state_from_bytes<State>(encoded);
 
   // -- Chance nodes --
   if (st.flip_pending != 0) {
@@ -155,11 +151,10 @@ Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
     for (int v = 0; v < 2; ++v) {
       State nx = st;
       nx.flip_pending = 0;
-      nx.coin = v;
-      e.next.push_back(nx.encode());
-      e.labels.push_back("coin=" + std::to_string(v));
+      nx.coin = static_cast<std::int8_t>(v);
+      e.add(state_bytes(nx), [v] { return "coin=" + std::to_string(v); });
     }
-    return e;
+    return;
   }
   if (st.choice_pending >= 0) {
     const int o = st.choice_pending;
@@ -169,11 +164,11 @@ Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
       nx.choice_pending = -1;
       enter_update(nx, o, st.op[static_cast<std::size_t>(o)]
                               .results[static_cast<std::size_t>(j)]);
-      e.next.push_back(nx.encode());
-      e.labels.push_back(std::string(kOpName[o]) + " uses iteration " +
-                         std::to_string(j));
+      e.add(state_bytes(nx), [o, j] {
+        return op_label(o, " uses iteration ") + std::to_string(j);
+      });
     }
-    return e;
+    return;
   }
 
   // -- Terminal shortcuts: the outcome set B is u1 = c ∧ u2 = 1 − c with the
@@ -187,35 +182,31 @@ Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
     const bool bad = (st.cl == 0 || st.cl == 1) && st.u1 == st.cl &&
                      st.u2 == 1 - st.cl;
     terminal(bad ? Rational(1) : Rational(0));
-    return e;
+    return;
   }
   if (st.u1 == -2) {  // u1 = ⊥ can never match the coin
     terminal(Rational(0));
-    return e;
+    return;
   }
   if (st.u1 != -3 && st.u2 != -3) {
     if (!((st.u1 == 0 && st.u2 == 1) || (st.u1 == 1 && st.u2 == 0))) {
       terminal(Rational(0));
-      return e;
+      return;
     }
     if (st.coin != -1) {
       // Both reads fixed, coin known: adversary wins iff u1 == coin (it
       // relays the coin through C; otherwise it loses regardless).
       terminal(st.u1 == st.coin ? Rational(1) : Rational(0));
-      return e;
+      return;
     }
   }
   if (st.u1 != -3 && st.coin != -1 && st.u1 != st.coin) {
     terminal(Rational(0));
-    return e;
+    return;
   }
 
   // -- Adversary moves --
   e.kind = Expansion::Kind::kAdversary;
-  auto push = [&e](State nx, std::string label) {
-    e.next.push_back(nx.encode());
-    e.labels.push_back(std::move(label));
-  };
 
   for (int o = 0; o < kOps; ++o) {
     if (!op_active(st, o)) continue;
@@ -229,22 +220,26 @@ Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
           if (op.replied & (1 << n)) continue;
           State nx = st;
           OpState& nop = nx.op[uo];
-          nop.replied |= (1 << n);
+          nop.replied = static_cast<std::int8_t>(nop.replied | (1 << n));
           nop.reply[static_cast<std::size_t>(n)] =
               st.node[static_cast<std::size_t>(n)];
-          push(std::move(nx), std::string(kOpName[o]) + " query reply from n" +
-                                  std::to_string(n));
+          e.add(state_bytes(nx), [o, n] {
+            return op_label(o, " query reply from n") + std::to_string(n);
+          });
         }
         // Finish the phase with any achievable max: a captured pair p such
         // that at least kQuorum captured replies have ts <= ts(p).
-        std::vector<Pair> seen;
+        std::array<Pair, kNodes> seen{};
+        int nseen = 0;
         for (int n = 0; n < kNodes; ++n) {
           if (!(op.replied & (1 << n))) continue;
           const Pair& p = op.reply[static_cast<std::size_t>(n)];
           bool dup = false;
-          for (const Pair& q : seen) dup = dup || q == p;
+          for (int q = 0; q < nseen; ++q) {
+            dup = dup || seen[static_cast<std::size_t>(q)] == p;
+          }
           if (dup) continue;
-          seen.push_back(p);
+          seen[static_cast<std::size_t>(nseen++)] = p;
           int dominated = 0;
           for (int m = 0; m < kNodes; ++m) {
             if (!(op.replied & (1 << m))) continue;
@@ -253,20 +248,21 @@ Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
           if (dominated >= kQuorum) {
             State nx = st;
             finish_query(nx, o, p, k_);
-            std::ostringstream lbl;
-            lbl << kOpName[o] << " query phase " << op.iter
-                << " -> (v=" << p.val << ",ts=(" << p.num << ',' << p.pid
-                << "))";
-            push(std::move(nx), lbl.str());
+            e.add(state_bytes(nx), [o, &op, p] {
+              return op_label(o, " query phase ") + std::to_string(op.iter) +
+                     " -> (v=" + std::to_string(p.val) + ",ts=(" +
+                     std::to_string(p.num) + ',' + std::to_string(p.pid) +
+                     "))";
+            });
           }
         }
         break;
       }
       case kChoosing: {
         State nx = st;
-        nx.choice_pending = o;
-        push(std::move(nx),
-             std::string(kOpName[o]) + " draws its iteration choice");
+        nx.choice_pending = static_cast<std::int8_t>(o);
+        e.add(state_bytes(nx),
+              [o] { return op_label(o, " draws its iteration choice"); });
         break;
       }
       case kUpdate: {
@@ -274,16 +270,17 @@ Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
           if (op.processed & (1 << n)) continue;
           State nx = st;
           OpState& nop = nx.op[uo];
-          nop.processed |= (1 << n);
+          nop.processed = static_cast<std::int8_t>(nop.processed | (1 << n));
           Pair& cell = nx.node[static_cast<std::size_t>(n)];
           if (cell.ts_less(op.upd)) cell = op.upd;
-          push(std::move(nx), std::string(kOpName[o]) + " update at n" +
-                                  std::to_string(n));
+          e.add(state_bytes(nx), [o, n] {
+            return op_label(o, " update at n") + std::to_string(n);
+          });
         }
         if (std::popcount(static_cast<unsigned>(op.processed)) >= kQuorum) {
           State nx = st;
           finish_update(nx, o);
-          push(std::move(nx), std::string(kOpName[o]) + " returns");
+          e.add(state_bytes(nx), [o] { return op_label(o, " returns"); });
         }
         break;
       }
@@ -296,22 +293,21 @@ Expansion AbdPhaseWeakenerGame::expand(const std::string& encoded) const {
   if (st.op[1].stage == kDone && st.coin == -1) {
     State nx = st;
     nx.flip_pending = 1;
-    push(std::move(nx), "p1 flips the coin");
+    e.add(state_bytes(nx), [] { return "p1 flips the coin"; });
   }
   if (st.coin != -1 && st.c_written == 0) {
     State nx = st;
     nx.c_written = 1;
-    push(std::move(nx), "p1: C := coin");
+    e.add(state_bytes(nx), [] { return "p1: C := coin"; });
   }
   if (st.op[3].stage == kDone && st.cl == -3) {
     State nx = st;
-    nx.cl = st.c_written != 0 ? st.coin : -1;
-    push(std::move(nx), "p2: c := C");
+    nx.cl = st.c_written != 0 ? st.coin : std::int8_t{-1};
+    e.add(state_bytes(nx), [] { return "p2: c := C"; });
   }
 
-  BLUNT_ASSERT(!e.next.empty(),
+  BLUNT_ASSERT(!e.empty(),
                "AbdPhaseWeakenerGame stuck (no moves, no terminal)");
-  return e;
 }
 
 }  // namespace blunt::game

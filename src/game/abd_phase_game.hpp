@@ -39,8 +39,8 @@ class AbdPhaseWeakenerGame final : public GameModel {
   /// k = preamble iterations (1 = original ABD). 1 <= k <= 4 (state size).
   explicit AbdPhaseWeakenerGame(int k);
 
-  [[nodiscard]] std::string initial() const override;
-  [[nodiscard]] Expansion expand(const std::string& state) const override;
+  [[nodiscard]] std::string_view initial() const override;
+  void expand(std::string_view state, Expansion& out) const override;
 
   [[nodiscard]] int k() const { return k_; }
 

@@ -1,9 +1,7 @@
 #include "game/snapshot_game.hpp"
 
 #include <array>
-#include <cstring>
 #include <string>
-#include <type_traits>
 
 #include "common/assert.hpp"
 
@@ -77,21 +75,7 @@ struct State {
   std::int32_t v1_class = -1;  // classify(v1), -1 = S1 not returned
   std::int32_t v2_class = -1;
   std::int32_t pad = 0;
-
-  [[nodiscard]] std::string encode() const {
-    std::string s(sizeof(State), '\0');
-    std::memcpy(s.data(), this, sizeof(State));
-    return s;
-  }
-  static State decode(const std::string& s) {
-    BLUNT_ASSERT(s.size() == sizeof(State), "bad SnapshotWeakenerGame state");
-    State st;
-    std::memcpy(&st, s.data(), sizeof(State));
-    return st;
-  }
 };
-
-static_assert(std::is_trivially_copyable_v<State>);
 
 constexpr int kOpPid[kOps] = {0, 1, 2, 2};
 const char* kOpName[kOps] = {"U0", "U1", "S1", "S2"};
@@ -172,11 +156,14 @@ SnapshotWeakenerGame::SnapshotWeakenerGame(int k) : k_(k) {
   BLUNT_ASSERT(k >= 1 && k <= kMaxK, "k must be in [1," << kMaxK << "]");
 }
 
-std::string SnapshotWeakenerGame::initial() const { return State{}.encode(); }
+std::string_view SnapshotWeakenerGame::initial() const {
+  static const State kInitial{};
+  return state_bytes(kInitial);
+}
 
-Expansion SnapshotWeakenerGame::expand(const std::string& encoded) const {
-  State st = State::decode(encoded);
-  Expansion e;
+void SnapshotWeakenerGame::expand(std::string_view encoded,
+                                  Expansion& e) const {
+  const State st = state_from_bytes<State>(encoded);
 
   if (st.flip_pending != 0) {
     e.kind = Expansion::Kind::kChance;
@@ -184,10 +171,9 @@ Expansion SnapshotWeakenerGame::expand(const std::string& encoded) const {
       State nx = st;
       nx.flip_pending = 0;
       nx.coin = v;
-      e.next.push_back(nx.encode());
-      e.labels.push_back("coin=" + std::to_string(v));
+      e.add(state_bytes(nx), [v] { return "coin=" + std::to_string(v); });
     }
-    return e;
+    return;
   }
   if (st.choice_pending >= 0) {
     const int o = st.choice_pending;
@@ -200,11 +186,12 @@ Expansion SnapshotWeakenerGame::expand(const std::string& encoded) const {
       op.results = {};
       op.iter = 0;
       op.stage = kReturn;
-      e.next.push_back(nx.encode());
-      e.labels.push_back(std::string(kOpName[o]) + " uses iteration " +
-                         std::to_string(j));
+      e.add(state_bytes(nx), [o, j] {
+        return std::string(kOpName[o]) + " uses iteration " +
+               std::to_string(j);
+      });
     }
-    return e;
+    return;
   }
 
   auto terminal = [&e](const Rational& v) {
@@ -217,34 +204,30 @@ Expansion SnapshotWeakenerGame::expand(const std::string& encoded) const {
                      st.v1_class == (st.cl == 0 ? 1 : 2) &&
                      st.v2_class == 3;
     terminal(bad ? Rational(1) : Rational(0));
-    return e;
+    return;
   }
   if (st.v1_class == 0 || st.v1_class == 3) {  // none/both can't match a coin
     terminal(Rational(0));
-    return e;
+    return;
   }
   if (st.v1_class != -1 && st.v2_class != -1) {
     if (st.v2_class != 3) {
       terminal(Rational(0));
-      return e;
+      return;
     }
     if (st.coin != -1) {
       const bool can_win = st.v1_class == (st.coin == 0 ? 1 : 2);
       terminal(can_win ? Rational(1) : Rational(0));
-      return e;
+      return;
     }
   }
   if (st.v1_class != -1 && st.coin != -1 &&
       st.v1_class != (st.coin == 0 ? 1 : 2)) {
     terminal(Rational(0));
-    return e;
+    return;
   }
 
   e.kind = Expansion::Kind::kAdversary;
-  auto push = [&e](State nx, std::string label) {
-    e.next.push_back(nx.encode());
-    e.labels.push_back(std::move(label));
-  };
 
   for (int o = 0; o < kOps; ++o) {
     if (!op_active(st, o)) continue;
@@ -257,22 +240,24 @@ Expansion SnapshotWeakenerGame::expand(const std::string& encoded) const {
         nop.loop.partial[static_cast<std::size_t>(op.loop.idx)] =
             st.cell[static_cast<std::size_t>(op.loop.idx)];
         ++nop.loop.idx;
-        std::string label = std::string(kOpName[o]) + " reads M[" +
-                            std::to_string(op.loop.idx) + "]";
         if (nop.loop.idx == kCells) {
           View view;
           if (evaluate_collect(nop, &view)) {
             finish_scan_loop(nx, o, view, k_);
           }
         }
-        push(std::move(nx), std::move(label));
+        e.add(state_bytes(nx), [o, &op] {
+          return std::string(kOpName[o]) + " reads M[" +
+                 std::to_string(op.loop.idx) + "]";
+        });
         break;
       }
       case kChoosing: {
         State nx = st;
         nx.choice_pending = o;
-        push(std::move(nx),
-             std::string(kOpName[o]) + " draws its iteration choice");
+        e.add(state_bytes(nx), [o] {
+          return std::string(kOpName[o]) + " draws its iteration choice";
+        });
         break;
       }
       case kWrite: {
@@ -282,14 +267,17 @@ Expansion SnapshotWeakenerGame::expand(const std::string& encoded) const {
         cell.value = 1;
         cell.seq += 1;
         nx.op[static_cast<std::size_t>(o)].canonicalize_done();
-        push(std::move(nx), std::string(kOpName[o]) + " writes M[" +
-                                std::to_string(kOpPid[o]) + "]");
+        e.add(state_bytes(nx), [o] {
+          return std::string(kOpName[o]) + " writes M[" +
+                 std::to_string(kOpPid[o]) + "]";
+        });
         break;
       }
       case kReturn: {
         State nx = st;
         finish_return(nx, o);
-        push(std::move(nx), std::string(kOpName[o]) + " returns");
+        e.add(state_bytes(nx),
+              [o] { return std::string(kOpName[o]) + " returns"; });
         break;
       }
       default:
@@ -300,22 +288,21 @@ Expansion SnapshotWeakenerGame::expand(const std::string& encoded) const {
   if (st.op[1].stage == kDone && st.coin == -1) {
     State nx = st;
     nx.flip_pending = 1;
-    push(std::move(nx), "p1 flips the coin");
+    e.add(state_bytes(nx), [] { return "p1 flips the coin"; });
   }
   if (st.coin != -1 && st.c_written == 0) {
     State nx = st;
     nx.c_written = 1;
-    push(std::move(nx), "p1: C := coin");
+    e.add(state_bytes(nx), [] { return "p1: C := coin"; });
   }
   if (st.op[3].stage == kDone && st.cl == -3) {
     State nx = st;
     nx.cl = st.c_written != 0 ? st.coin : -1;
-    push(std::move(nx), "p2: c := C");
+    e.add(state_bytes(nx), [] { return "p2: c := C"; });
   }
 
-  BLUNT_ASSERT(!e.next.empty(),
+  BLUNT_ASSERT(!e.empty(),
                "SnapshotWeakenerGame stuck (no moves, no terminal)");
-  return e;
 }
 
 }  // namespace blunt::game

@@ -32,8 +32,8 @@ class SnapshotWeakenerGame final : public GameModel {
   /// k = Scan preamble iterations, 1 <= k <= 3.
   explicit SnapshotWeakenerGame(int k);
 
-  [[nodiscard]] std::string initial() const override;
-  [[nodiscard]] Expansion expand(const std::string& state) const override;
+  [[nodiscard]] std::string_view initial() const override;
+  void expand(std::string_view state, Expansion& out) const override;
 
   [[nodiscard]] int k() const { return k_; }
 

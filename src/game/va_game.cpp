@@ -1,9 +1,7 @@
 #include "game/va_game.hpp"
 
 #include <array>
-#include <cstring>
 #include <string>
-#include <type_traits>
 
 #include "common/assert.hpp"
 
@@ -57,21 +55,7 @@ struct State {
   std::int32_t u1 = -3;
   std::int32_t u2 = -3;
   std::int32_t pad = 0;
-
-  [[nodiscard]] std::string encode() const {
-    std::string s(sizeof(State), '\0');
-    std::memcpy(s.data(), this, sizeof(State));
-    return s;
-  }
-  static State decode(const std::string& s) {
-    BLUNT_ASSERT(s.size() == sizeof(State), "bad VaPhaseWeakenerGame state");
-    State st;
-    std::memcpy(&st, s.data(), sizeof(State));
-    return st;
-  }
 };
-
-static_assert(std::is_trivially_copyable_v<State>);
 
 constexpr int kOpWriteValue[kOps] = {0, 1, -1, -1};
 constexpr int kOpPid[kOps] = {0, 1, 2, 2};
@@ -133,11 +117,13 @@ VaPhaseWeakenerGame::VaPhaseWeakenerGame(int k) : k_(k) {
   BLUNT_ASSERT(k >= 1 && k <= kMaxK, "k must be in [1," << kMaxK << "]");
 }
 
-std::string VaPhaseWeakenerGame::initial() const { return State{}.encode(); }
+std::string_view VaPhaseWeakenerGame::initial() const {
+  static const State kInitial{};
+  return state_bytes(kInitial);
+}
 
-Expansion VaPhaseWeakenerGame::expand(const std::string& encoded) const {
-  State st = State::decode(encoded);
-  Expansion e;
+void VaPhaseWeakenerGame::expand(std::string_view encoded, Expansion& e) const {
+  const State st = state_from_bytes<State>(encoded);
 
   if (st.flip_pending != 0) {
     e.kind = Expansion::Kind::kChance;
@@ -145,10 +131,9 @@ Expansion VaPhaseWeakenerGame::expand(const std::string& encoded) const {
       State nx = st;
       nx.flip_pending = 0;
       nx.coin = v;
-      e.next.push_back(nx.encode());
-      e.labels.push_back("coin=" + std::to_string(v));
+      e.add(state_bytes(nx), [v] { return "coin=" + std::to_string(v); });
     }
-    return e;
+    return;
   }
   if (st.choice_pending >= 0) {
     const int o = st.choice_pending;
@@ -158,11 +143,12 @@ Expansion VaPhaseWeakenerGame::expand(const std::string& encoded) const {
       nx.choice_pending = -1;
       enter_tail(nx, o, st.op[static_cast<std::size_t>(o)]
                             .results[static_cast<std::size_t>(j)]);
-      e.next.push_back(nx.encode());
-      e.labels.push_back(std::string(kOpName[o]) + " uses iteration " +
-                         std::to_string(j));
+      e.add(state_bytes(nx), [o, j] {
+        return std::string(kOpName[o]) + " uses iteration " +
+               std::to_string(j);
+      });
     }
-    return e;
+    return;
   }
 
   // Terminal shortcuts (same outcome structure as the ABD game).
@@ -174,32 +160,28 @@ Expansion VaPhaseWeakenerGame::expand(const std::string& encoded) const {
     const bool bad = (st.cl == 0 || st.cl == 1) && st.u1 == st.cl &&
                      st.u2 == 1 - st.cl;
     terminal(bad ? Rational(1) : Rational(0));
-    return e;
+    return;
   }
   if (st.u1 == -2) {
     terminal(Rational(0));
-    return e;
+    return;
   }
   if (st.u1 != -3 && st.u2 != -3) {
     if (!((st.u1 == 0 && st.u2 == 1) || (st.u1 == 1 && st.u2 == 0))) {
       terminal(Rational(0));
-      return e;
+      return;
     }
     if (st.coin != -1) {
       terminal(st.u1 == st.coin ? Rational(1) : Rational(0));
-      return e;
+      return;
     }
   }
   if (st.u1 != -3 && st.coin != -1 && st.u1 != st.coin) {
     terminal(Rational(0));
-    return e;
+    return;
   }
 
   e.kind = Expansion::Kind::kAdversary;
-  auto push = [&e](State nx, std::string label) {
-    e.next.push_back(nx.encode());
-    e.labels.push_back(std::move(label));
-  };
 
   for (int o = 0; o < kOps; ++o) {
     if (!op_active(st, o)) continue;
@@ -212,24 +194,28 @@ Expansion VaPhaseWeakenerGame::expand(const std::string& encoded) const {
         const Pair& cell = st.val[static_cast<std::size_t>(op.cell)];
         if (nop.running.ts_less(cell)) nop.running = cell;
         ++nop.cell;
-        std::string label = std::string(kOpName[o]) + " reads Val[" +
-                            std::to_string(op.cell) + "]";
         if (nop.cell == kCells) finish_collect_iteration(nx, o, k_);
-        push(std::move(nx), std::move(label));
+        e.add(state_bytes(nx), [o, &op] {
+          return std::string(kOpName[o]) + " reads Val[" +
+                 std::to_string(op.cell) + "]";
+        });
         break;
       }
       case kChoosing: {
         State nx = st;
         nx.choice_pending = o;
-        push(std::move(nx),
-             std::string(kOpName[o]) + " draws its iteration choice");
+        e.add(state_bytes(nx), [o] {
+          return std::string(kOpName[o]) + " draws its iteration choice";
+        });
         break;
       }
       case kTail: {
         State nx = st;
         finish_tail(nx, o);
-        push(std::move(nx), std::string(kOpName[o]) +
-                                (op_is_read(o) ? " returns" : " writes+returns"));
+        e.add(state_bytes(nx), [o] {
+          return std::string(kOpName[o]) +
+                 (op_is_read(o) ? " returns" : " writes+returns");
+        });
         break;
       }
       default:
@@ -240,22 +226,21 @@ Expansion VaPhaseWeakenerGame::expand(const std::string& encoded) const {
   if (st.op[1].stage == kDone && st.coin == -1) {
     State nx = st;
     nx.flip_pending = 1;
-    push(std::move(nx), "p1 flips the coin");
+    e.add(state_bytes(nx), [] { return "p1 flips the coin"; });
   }
   if (st.coin != -1 && st.c_written == 0) {
     State nx = st;
     nx.c_written = 1;
-    push(std::move(nx), "p1: C := coin");
+    e.add(state_bytes(nx), [] { return "p1: C := coin"; });
   }
   if (st.op[3].stage == kDone && st.cl == -3) {
     State nx = st;
     nx.cl = st.c_written != 0 ? st.coin : -1;
-    push(std::move(nx), "p2: c := C");
+    e.add(state_bytes(nx), [] { return "p2: c := C"; });
   }
 
-  BLUNT_ASSERT(!e.next.empty(),
+  BLUNT_ASSERT(!e.empty(),
                "VaPhaseWeakenerGame stuck (no moves, no terminal)");
-  return e;
 }
 
 }  // namespace blunt::game

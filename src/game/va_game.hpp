@@ -29,8 +29,8 @@ class VaPhaseWeakenerGame final : public GameModel {
   /// k = preamble iterations, 1 <= k <= 4.
   explicit VaPhaseWeakenerGame(int k);
 
-  [[nodiscard]] std::string initial() const override;
-  [[nodiscard]] Expansion expand(const std::string& state) const override;
+  [[nodiscard]] std::string_view initial() const override;
+  void expand(std::string_view state, Expansion& out) const override;
 
   [[nodiscard]] int k() const { return k_; }
 

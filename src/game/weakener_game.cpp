@@ -1,9 +1,8 @@
 #include "game/weakener_game.hpp"
 
 #include <array>
-#include <cstring>
-#include <sstream>
-#include <type_traits>
+#include <cstdint>
+#include <string>
 
 #include "common/assert.hpp"
 
@@ -13,36 +12,16 @@ namespace {
 
 // Register values: -2 = ⊥ (R's initial), -1 = C's initial, 0/1 written.
 struct State {
-  int pc0 = 0;   // p0: 0 = to write R:=0, 1 = done
-  int pc1 = 0;   // p1: 0 = to write R:=1, 1 = to flip, 2 = to write C, 3 done
-  int pc2 = 0;   // p2: 0 = read u1, 1 = read u2, 2 = read C, 3 done
-  int r = -2;    // register R
-  int c = -1;    // register C
-  int u1 = -3;   // p2 locals (-3 = unset)
-  int u2 = -3;
-  int cl = -3;
-  int coin = -3;       // p1's flip result
-  bool flipping = false;  // chance node marker
-
-  [[nodiscard]] std::string encode() const {
-    std::ostringstream os;
-    os << pc0 << '|' << pc1 << '|' << pc2 << '|' << r << '|' << c << '|'
-       << u1 << '|' << u2 << '|' << cl << '|' << coin << '|' << flipping;
-    return os.str();
-  }
-
-  static State decode(const std::string& s) {
-    State st;
-    std::istringstream is(s);
-    char sep = 0;
-    int flipping_int = 0;
-    is >> st.pc0 >> sep >> st.pc1 >> sep >> st.pc2 >> sep >> st.r >> sep >>
-        st.c >> sep >> st.u1 >> sep >> st.u2 >> sep >> st.cl >> sep >>
-        st.coin >> sep >> flipping_int;
-    BLUNT_ASSERT(!is.fail(), "bad AtomicWeakenerGame state: " << s);
-    st.flipping = flipping_int != 0;
-    return st;
-  }
+  std::int8_t pc0 = 0;  // p0: 0 = to write R:=0, 1 = done
+  std::int8_t pc1 = 0;  // p1: 0 = write R:=1, 1 = flip, 2 = write C, 3 done
+  std::int8_t pc2 = 0;  // p2: 0 = read u1, 1 = read u2, 2 = read C, 3 done
+  std::int8_t r = -2;   // register R
+  std::int8_t c = -1;   // register C
+  std::int8_t u1 = -3;  // p2 locals (-3 = unset)
+  std::int8_t u2 = -3;
+  std::int8_t cl = -3;
+  std::int8_t coin = -3;     // p1's flip result
+  std::int8_t flipping = 0;  // chance node marker
 
   [[nodiscard]] bool all_done() const {
     return pc0 == 1 && pc1 == 3 && pc2 == 3;
@@ -56,35 +35,35 @@ struct State {
 
 }  // namespace
 
-std::string AtomicWeakenerGame::initial() const { return State{}.encode(); }
+std::string_view AtomicWeakenerGame::initial() const {
+  static const State kInitial{};
+  return state_bytes(kInitial);
+}
 
-Expansion AtomicWeakenerGame::expand(const std::string& encoded) const {
-  const State st = State::decode(encoded);
-  Expansion e;
+void AtomicWeakenerGame::expand(std::string_view encoded, Expansion& e) const {
+  const State st = state_from_bytes<State>(encoded);
 
-  if (st.flipping) {
+  if (st.flipping != 0) {
     e.kind = Expansion::Kind::kChance;
     for (int v = 0; v < 2; ++v) {
       State nx = st;
-      nx.flipping = false;
-      nx.coin = v;
+      nx.flipping = 0;
+      nx.coin = static_cast<std::int8_t>(v);
       nx.pc1 = 2;
-      e.next.push_back(nx.encode());
-      e.labels.push_back("coin=" + std::to_string(v));
+      e.add(state_bytes(nx), [v] { return "coin=" + std::to_string(v); });
     }
-    return e;
+    return;
   }
 
   if (st.all_done()) {
     e.kind = Expansion::Kind::kTerminal;
     e.terminal_value = st.bad() ? Rational(1) : Rational(0);
-    return e;
+    return;
   }
 
   e.kind = Expansion::Kind::kAdversary;
-  auto push = [&e](State nx, std::string label) {
-    e.next.push_back(nx.encode());
-    e.labels.push_back(std::move(label));
+  auto push = [&e](const State& nx, const char* label) {
+    e.add(state_bytes(nx), [label] { return label; });
   };
 
   if (st.pc0 == 0) {
@@ -103,7 +82,7 @@ Expansion AtomicWeakenerGame::expand(const std::string& encoded) const {
     }
     case 1: {
       State nx = st;
-      nx.flipping = true;
+      nx.flipping = 1;
       push(nx, "p1: flip");
       break;
     }
@@ -142,8 +121,7 @@ Expansion AtomicWeakenerGame::expand(const std::string& encoded) const {
     default:
       break;
   }
-  BLUNT_ASSERT(!e.next.empty(), "no moves but not all done: " << encoded);
-  return e;
+  BLUNT_ASSERT(!e.empty(), "AtomicWeakenerGame: no moves but not all done");
 }
 
 namespace {
@@ -176,27 +154,12 @@ struct RoundsState {
     coin.fill(-3);
   }
 
-  [[nodiscard]] std::string encode() const {
-    std::string s(sizeof(RoundsState), '\0');
-    std::memcpy(s.data(), this, sizeof(RoundsState));
-    return s;
-  }
-  static RoundsState decode(const std::string& s) {
-    BLUNT_ASSERT(s.size() == sizeof(RoundsState),
-                 "bad AtomicRoundsWeakenerGame state");
-    RoundsState st;
-    std::memcpy(&st, s.data(), sizeof(RoundsState));
-    return st;
-  }
-
   [[nodiscard]] bool round_bad(int t) const {
     const auto ut = static_cast<std::size_t>(t);
     return (cl[ut] == 0 || cl[ut] == 1) && u1[ut] == cl[ut] &&
            u2[ut] == 1 - cl[ut];
   }
 };
-
-static_assert(std::is_trivially_copyable_v<RoundsState>);
 
 }  // namespace
 
@@ -206,13 +169,14 @@ AtomicRoundsWeakenerGame::AtomicRoundsWeakenerGame(int rounds)
                "rounds must be in [1," << kMaxRounds << "]");
 }
 
-std::string AtomicRoundsWeakenerGame::initial() const {
-  return RoundsState{}.encode();
+std::string_view AtomicRoundsWeakenerGame::initial() const {
+  static const RoundsState kInitial{};
+  return state_bytes(kInitial);
 }
 
-Expansion AtomicRoundsWeakenerGame::expand(const std::string& encoded) const {
-  const RoundsState st = RoundsState::decode(encoded);
-  Expansion e;
+void AtomicRoundsWeakenerGame::expand(std::string_view encoded,
+                                      Expansion& e) const {
+  const RoundsState st = state_from_bytes<RoundsState>(encoded);
 
   if (st.flipping != 0) {
     const int t = st.pc1 / 3;
@@ -222,11 +186,11 @@ Expansion AtomicRoundsWeakenerGame::expand(const std::string& encoded) const {
       nx.flipping = 0;
       nx.coin[static_cast<std::size_t>(t)] = v;
       ++nx.pc1;
-      e.next.push_back(nx.encode());
-      e.labels.push_back("coin[" + std::to_string(t) + "]=" +
-                         std::to_string(v));
+      e.add(state_bytes(nx), [t, v] {
+        return "coin[" + std::to_string(t) + "]=" + std::to_string(v);
+      });
     }
-    return e;
+    return;
   }
 
   const bool done = st.pc0 == rounds_ && st.pc1 == 3 * rounds_ &&
@@ -236,20 +200,19 @@ Expansion AtomicRoundsWeakenerGame::expand(const std::string& encoded) const {
     for (int t = 0; t < rounds_; ++t) bad = bad || st.round_bad(t);
     e.kind = Expansion::Kind::kTerminal;
     e.terminal_value = bad ? Rational(1) : Rational(0);
-    return e;
+    return;
   }
 
   e.kind = Expansion::Kind::kAdversary;
-  auto push = [&e](RoundsState nx, std::string label) {
-    e.next.push_back(nx.encode());
-    e.labels.push_back(std::move(label));
+  auto push = [&e](const RoundsState& nx, const char* label) {
+    e.add(state_bytes(nx), [label] { return label; });
   };
 
   if (st.pc0 < rounds_) {
     RoundsState nx = st;
     nx.r[static_cast<std::size_t>(st.pc0)] = 0;
     ++nx.pc0;
-    push(std::move(nx), "p0: R[t]:=0");
+    push(nx, "p0: R[t]:=0");
   }
   if (st.pc1 < 3 * rounds_) {
     const int t = st.pc1 / 3;
@@ -259,16 +222,16 @@ Expansion AtomicRoundsWeakenerGame::expand(const std::string& encoded) const {
       case 0:
         nx.r[ut] = 1;
         ++nx.pc1;
-        push(std::move(nx), "p1: R[t]:=1");
+        push(nx, "p1: R[t]:=1");
         break;
       case 1:
         nx.flipping = 1;
-        push(std::move(nx), "p1: flip");
+        push(nx, "p1: flip");
         break;
       case 2:
         nx.c[ut] = st.coin[ut];
         ++nx.pc1;
-        push(std::move(nx), "p1: C[t]:=coin");
+        push(nx, "p1: C[t]:=coin");
         break;
     }
   }
@@ -288,10 +251,9 @@ Expansion AtomicRoundsWeakenerGame::expand(const std::string& encoded) const {
         break;
     }
     ++nx.pc2;
-    push(std::move(nx), "p2 step");
+    push(nx, "p2 step");
   }
-  BLUNT_ASSERT(!e.next.empty(), "rounds game stuck");
-  return e;
+  BLUNT_ASSERT(!e.empty(), "rounds game stuck");
 }
 
 }  // namespace blunt::game

@@ -14,8 +14,8 @@ namespace blunt::game {
 
 class AtomicWeakenerGame final : public GameModel {
  public:
-  [[nodiscard]] std::string initial() const override;
-  [[nodiscard]] Expansion expand(const std::string& state) const override;
+  [[nodiscard]] std::string_view initial() const override;
+  void expand(std::string_view state, Expansion& out) const override;
 };
 
 /// The T-round weakener over atomic registers (programs/rounds.hpp): T
@@ -29,8 +29,8 @@ class AtomicRoundsWeakenerGame final : public GameModel {
   /// 1 <= rounds <= 3 (state size).
   explicit AtomicRoundsWeakenerGame(int rounds);
 
-  [[nodiscard]] std::string initial() const override;
-  [[nodiscard]] Expansion expand(const std::string& state) const override;
+  [[nodiscard]] std::string_view initial() const override;
+  void expand(std::string_view state, Expansion& out) const override;
 
  private:
   int rounds_;

@@ -21,11 +21,16 @@ TEST(SnapshotGame, MatchesAtomicWeakenerValue) {
 }
 
 TEST(SnapshotGame, StateSpaceGrowsWithK) {
-  SolveStats s1, s3;
-  (void)solve(SnapshotWeakenerGame(1), &s1);
-  (void)solve(SnapshotWeakenerGame(3), &s3);
-  EXPECT_GT(s3.states_visited, s1.states_visited);
-  EXPECT_LT(s3.states_visited, 1000000u);
+  const struct {
+    int k;
+    std::size_t states;
+  } cases[] = {{1, 2688}, {2, 6487}, {3, 10524}};
+  for (const auto& c : cases) {
+    SolveStats stats;
+    (void)solve(SnapshotWeakenerGame(c.k), &stats);
+    EXPECT_EQ(stats.states_visited, c.states) << "k=" << c.k;
+    EXPECT_EQ(stats.expansions, c.states) << "k=" << c.k;
+  }
 }
 
 TEST(SnapshotGame, RejectsBadK) {

@@ -24,9 +24,8 @@ TEST(VaPhase, MatchesAtomicGameValue) {
 }
 
 TEST(VaPhase, StrictlyBelowAbdAtEveryK) {
-  // The same program over ABD^k is strictly worse (k=3 omitted: ~14s):
-  // object choice matters.
-  for (const int k : {1, 2}) {
+  // The same program over ABD^k is strictly worse: object choice matters.
+  for (const int k : {1, 2, 3}) {
     EXPECT_LT(solve(VaPhaseWeakenerGame(k)),
               solve(AbdPhaseWeakenerGame(k)))
         << "k=" << k;
@@ -34,10 +33,16 @@ TEST(VaPhase, StrictlyBelowAbdAtEveryK) {
 }
 
 TEST(VaPhase, StateSpaceIsSmall) {
-  SolveStats stats;
-  (void)solve(VaPhaseWeakenerGame(2), &stats);
-  EXPECT_LT(stats.states_visited, 100000u);
-  EXPECT_GT(stats.states_visited, 1000u);
+  const struct {
+    int k;
+    std::size_t states;
+  } cases[] = {{1, 940}, {2, 5421}, {3, 12692}};
+  for (const auto& c : cases) {
+    SolveStats stats;
+    (void)solve(VaPhaseWeakenerGame(c.k), &stats);
+    EXPECT_EQ(stats.states_visited, c.states) << "k=" << c.k;
+    EXPECT_EQ(stats.expansions, c.states) << "k=" << c.k;
+  }
 }
 
 TEST(VaPhase, RejectsBadK) {
