@@ -7,6 +7,8 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -142,9 +144,12 @@ struct PassResult {
 }  // namespace
 
 RunOutput run_trials(const Experiment& e, const RunOptions& opts) {
-  BLUNT_ASSERT(e.trial != nullptr || e.default_trials == 0,
-               "experiment " << e.name << " has no trial body");
   const ShardLayout l = resolve_layout(e, opts);
+  if (e.trial == nullptr && l.trials > 0) {
+    throw std::invalid_argument(
+        "experiment " + e.name + " has no trial body and takes no trials, "
+        "but " + std::to_string(l.trials) + " were requested");
+  }
   PassResult main_pass =
       run_pass(e, l, opts.threads, opts.coverage, opts.profile);
 

@@ -67,7 +67,9 @@ struct RunOutput {
 };
 
 /// Runs the trial phase (no finalize, no report). See the file comment for
-/// the determinism contract.
+/// the determinism contract. Throws std::invalid_argument, naming the
+/// experiment, when a finalize-only experiment (no trial body) is asked for
+/// a positive trial count.
 [[nodiscard]] RunOutput run_trials(const Experiment& e, const RunOptions& opts);
 
 }  // namespace blunt::exp

@@ -2,8 +2,8 @@
 //
 // The paper proves through a four-case analysis that no adversary wins the
 // weakener over ABD² with probability more than 5/8 (so p2 terminates with
-// probability at least 3/8). This bench solves the phase-level ABD² game
-// exactly and reports:
+// probability at least 3/8). This experiment solves the phase-level ABD²
+// game exactly and reports:
 //   * the exact optimum 5/8 — the paper's refined bound is TIGHT;
 //   * the paper's intermediate quantities 1/8 (generic Theorem 4.2 bound on
 //     termination) and 3/8 (refined), recomputed;
@@ -11,16 +11,16 @@
 #include <chrono>
 #include <cstdio>
 
-#include "bench_util.hpp"
 #include "core/bounds.hpp"
+#include "exp/workloads.hpp"
 #include "game/abd_phase_game.hpp"
 #include "game/solver.hpp"
 
-namespace blunt {
+namespace blunt::exp {
 namespace {
 
-void run() {
-  bench::print_header("E4: exact ABD^2 weakener game (Appendix A.3)");
+int finalize(obs::BenchReport& report, const Accumulator&, const RunInfo&) {
+  print_header("E4: exact ABD^2 weakener game (Appendix A.3)");
 
   const auto t0 = std::chrono::steady_clock::now();
   game::AbdPhaseWeakenerGame g(2);
@@ -30,9 +30,9 @@ void run() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  bench::print_rule();
+  print_rule();
   std::printf("%-52s %10s\n", "quantity", "value");
-  bench::print_rule();
+  print_rule();
   std::printf("%-52s %10s\n", "exact Prob[bad] (optimal strong adversary)",
               value.to_string().c_str());
   std::printf("%-52s %10s\n", "exact termination probability",
@@ -46,7 +46,7 @@ void run() {
                   .c_str());
   std::printf("%-52s %10s\n", "paper A.3.2 refined bound on termination",
               Rational(3, 8).to_string().c_str());
-  bench::print_rule();
+  print_rule();
   std::printf("verdict: refined 5/8 bound is %s (%zu states, %.1fs)\n",
               value == Rational(5, 8) ? "TIGHT — exactly attained"
                                       : "not attained",
@@ -60,16 +60,15 @@ void run() {
                 strategy[i].value.to_string().c_str());
   }
 
-  obs::BenchReport report("abd2_exact_game");
-  bench::set_exact_probability(report, "bad_probability", value.to_double());
+  set_exact_probability(report, "bad_probability", value.to_double());
   report.set_metric_string("bad_probability_exact", value.to_string());
   report.set_metric("termination_probability",
                     (Rational(1) - value).to_double());
   // Watchdog instance: the exact 5/8 must sit under the generic 7/8 bound
   // (k=2, r=1, n=3, Prob[O]=1, Prob[O_a]=1/2) with margin 1/4.
-  bench::set_thm42_instance(report, /*k=*/2, /*r=*/1, /*n=*/3,
-                            /*prob_lin=*/1.0, /*prob_atomic=*/0.5,
-                            value.to_double());
+  set_thm42_instance(report, /*k=*/2, /*r=*/1, /*n=*/3,
+                     /*prob_lin=*/1.0, /*prob_atomic=*/0.5,
+                     value.to_double());
   report.set_metric_bool("refined_bound_tight", value == Rational(5, 8));
   report.set_metric_int("game_states_visited",
                         static_cast<std::int64_t>(stats.states_visited));
@@ -77,17 +76,19 @@ void run() {
                         static_cast<std::int64_t>(strategy.size()));
   report.add_timing_ms("game_solve", secs * 1000.0);
   // Instrumented probe: one real ABD² weakener run for the registry section.
-  bench::merge_probe(
-      report, bench::run_instrumented_weakener(/*coin_seed=*/0,
-                                               /*sched_seed=*/0, /*k=*/2)
-                  .snapshot);
-  bench::write_report(report);
+  merge_probe(report, run_instrumented_weakener(/*coin_seed=*/0,
+                                                /*sched_seed=*/0, /*k=*/2)
+                          .snapshot);
+  return 0;
 }
 
 }  // namespace
-}  // namespace blunt
 
-int main() {
-  blunt::run();
-  return 0;
+Experiment make_abd2_exact_game_experiment() {
+  return {.name = "abd2_exact_game",
+          .description = "E4: exact ABD^2 weakener game (5/8) and one optimal "
+                         "line of play (finalize only)",
+          .finalize = finalize};
 }
+
+}  // namespace blunt::exp

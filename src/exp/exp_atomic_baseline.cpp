@@ -11,48 +11,42 @@
 
 #include "adversary/explorer.hpp"
 #include "adversary/mc_search.hpp"
-#include "bench_util.hpp"
+#include "exp/workloads.hpp"
 #include "game/solver.hpp"
 #include "game/weakener_game.hpp"
 #include "objects/atomic.hpp"
 
-namespace blunt {
+namespace blunt::exp {
 namespace {
 
+/// Installs the weakener over two atomic registers into `inst`'s world. The
+/// explorer's Instance and the MC search's McInstance share this builder.
+template <typename Instance>
+Instance with_atomic_weakener(Instance inst) {
+  auto r = std::make_shared<objects::AtomicRegister>("R", *inst.world,
+                                                     sim::Value{});
+  auto c = std::make_shared<objects::AtomicRegister>(
+      "C", *inst.world, sim::Value(std::int64_t{-1}));
+  auto out = std::make_shared<programs::WeakenerOutcome>();
+  programs::install_weakener(*inst.world, *r, *c, *out);
+  inst.bad = [out] { return out->looped(); };
+  inst.owned = {r, c, out};
+  return inst;
+}
+
 /// Monte-Carlo/probe builder; `metrics` flips on the world's observability
-/// registry for the instrumented probe run the bench report carries.
+/// registry for the instrumented probe run the report carries.
 adversary::McInstance atomic_weakener_mc(std::uint64_t coin_seed,
                                          bool metrics = false) {
   adversary::McInstance inst;
   inst.world = std::make_unique<sim::World>(
       sim::Config{.metrics = metrics},
       std::make_unique<sim::SeededCoin>(coin_seed));
-  auto r = std::make_shared<objects::AtomicRegister>("R", *inst.world,
-                                                     sim::Value{});
-  auto c = std::make_shared<objects::AtomicRegister>(
-      "C", *inst.world, sim::Value(std::int64_t{-1}));
-  auto out = std::make_shared<programs::WeakenerOutcome>();
-  programs::install_weakener(*inst.world, *r, *c, *out);
-  inst.bad = [out] { return out->looped(); };
-  inst.owned = {r, c, out};
-  return inst;
+  return with_atomic_weakener(std::move(inst));
 }
 
-adversary::Instance atomic_weakener_factory(std::vector<int> coins) {
-  adversary::Instance inst = adversary::make_instance(std::move(coins));
-  auto r = std::make_shared<objects::AtomicRegister>("R", *inst.world,
-                                                     sim::Value{});
-  auto c = std::make_shared<objects::AtomicRegister>(
-      "C", *inst.world, sim::Value(std::int64_t{-1}));
-  auto out = std::make_shared<programs::WeakenerOutcome>();
-  programs::install_weakener(*inst.world, *r, *c, *out);
-  inst.bad = [out] { return out->looped(); };
-  inst.owned = {r, c, out};
-  return inst;
-}
-
-void run() {
-  bench::print_header(
+int finalize(obs::BenchReport& report, const Accumulator&, const RunInfo&) {
+  print_header(
       "E1: weakener over atomic registers (paper: termination >= 1/2, "
       "Appendix A.1)");
 
@@ -65,7 +59,9 @@ void run() {
 
   const auto t1 = std::chrono::steady_clock::now();
   const adversary::ExplorerResult ex =
-      adversary::explore(atomic_weakener_factory);
+      adversary::explore([](std::vector<int> coins) {
+        return with_atomic_weakener(adversary::make_instance(std::move(coins)));
+      });
   const double ex_secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
           .count();
@@ -75,9 +71,9 @@ void run() {
       [](std::uint64_t coin_seed) { return atomic_weakener_mc(coin_seed); },
       /*scheduler_seeds=*/20, /*trials_per_seed=*/200, &mc_metrics);
 
-  bench::print_rule();
+  print_rule();
   std::printf("%-44s %12s %14s\n", "method", "Prob[bad]", "termination");
-  bench::print_rule();
+  print_rule();
   std::printf("%-44s %12s %14s   (%zu states, %.3fs)\n",
               "exact game solver (optimal strong adversary)",
               game_value.to_string().c_str(),
@@ -92,21 +88,19 @@ void run() {
               "best-of-20 random schedulers (weak baseline)", mc.best_rate,
               1.0 - mc.best_rate,
               static_cast<long long>(mc.pooled.trials()));
-  bench::print_rule();
+  print_rule();
   std::printf("paper: Prob[bad] = 1/2 exactly; both exact methods %s\n",
               (game_value == Rational(1, 2) && ex.value == Rational(1, 2))
                   ? "REPRODUCE it"
                   : "DISAGREE (!)");
 
-  obs::BenchReport report("atomic_baseline");
-  bench::set_exact_probability(report, "bad_probability",
-                               game_value.to_double());
+  set_exact_probability(report, "bad_probability", game_value.to_double());
   report.set_metric_string("bad_probability_exact", game_value.to_string());
   report.set_metric("termination_probability",
                     (Rational(1) - game_value).to_double());
-  bench::set_exact_probability(report, "bad_probability_explorer",
-                               ex.value.to_double());
-  bench::set_bernoulli_metric(report, "bad_probability_mc_pooled", mc.pooled);
+  set_exact_probability(report, "bad_probability_explorer",
+                        ex.value.to_double());
+  set_bernoulli_metric(report, "bad_probability_mc_pooled", mc.pooled);
   report.set_metric("bad_probability_mc_best_seed", mc.best_rate);
   report.set_metric_int("explorer_executions", ex.executions);
   report.set_metric_int("game_states_visited",
@@ -126,14 +120,17 @@ void run() {
                                                    /*metrics=*/true);
   sim::UniformAdversary probe_adv(1);
   (void)probe.world->run(probe_adv);
-  bench::merge_probe(report, probe.world->metrics()->snapshot());
-  bench::write_report(report);
+  merge_probe(report, probe.world->metrics()->snapshot());
+  return 0;
 }
 
 }  // namespace
-}  // namespace blunt
 
-int main() {
-  blunt::run();
-  return 0;
+Experiment make_atomic_baseline_experiment() {
+  return {.name = "atomic_baseline",
+          .description = "E1: exact game, explorer and random schedulers on "
+                         "the weakener over atomic registers (finalize only)",
+          .finalize = finalize};
 }
+
+}  // namespace blunt::exp

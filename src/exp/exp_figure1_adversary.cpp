@@ -3,36 +3,36 @@
 //
 // Reproduces: a strong adversary forces p2 to loop forever with probability 1
 // (termination probability 0) when the weakener's registers are ABD. The
-// bench replays the paper's schedule for both coin outcomes, prints the
+// experiment replays the paper's schedule for both coin outcomes, prints the
 // outcomes, verifies each execution is still linearizable, and shows that the
 // branch pair refutes strong linearizability of ABD while passing the
 // tail-strong check w.r.t. Π_ABD (Theorem 5.1).
 #include <cstdio>
 
 #include "adversary/figure1.hpp"
-#include "bench_util.hpp"
+#include "exp/workloads.hpp"
 #include "lin/check.hpp"
 #include "lin/history.hpp"
 #include "lin/strong.hpp"
 
-namespace blunt {
+namespace blunt::exp {
 namespace {
 
-void run() {
-  bench::print_header(
+int finalize(obs::BenchReport& report, const Accumulator&, const RunInfo&) {
+  print_header(
       "E2: Figure 1 adversary vs plain ABD (paper: termination probability "
       "0, Appendix A.2)");
-  bench::print_rule();
+  print_rule();
   std::printf("%6s %6s %6s %6s %9s %8s %13s\n", "coin", "u1", "u2", "c",
               "looped?", "steps", "linearizable?");
-  bench::print_rule();
+  print_rule();
 
   std::vector<lin::History> r_histories;
   std::vector<std::unique_ptr<sim::World>> worlds;
   lin::PreambleMapping pi_abd;
   int wins = 0;
   for (const int coin : {0, 1}) {
-    const adversary::Figure1Run run = adversary::run_figure1(coin);
+    adversary::Figure1Run run = adversary::run_figure1(coin);
     const lin::History h = lin::History::from_world(*run.world);
     const lin::History hr = h.project_object(run.r_object_id);
     lin::RegisterSpec spec_r;
@@ -50,9 +50,9 @@ void run() {
     wins += run.outcome.looped() ? 1 : 0;
     r_histories.push_back(hr);
     pi_abd = run.r->preamble_mapping();
-    worlds.push_back(std::move(const_cast<adversary::Figure1Run&>(run).world));
+    worlds.push_back(std::move(run.world));
   }
-  bench::print_rule();
+  print_rule();
   std::printf("adversary win rate: %d/2  (paper: 2/2 — zero termination)\n",
               wins);
 
@@ -72,15 +72,14 @@ void run() {
               tail.ok ? "holds — Theorem 5.1 confirmed on these executions"
                       : "violated (!)");
 
-  obs::BenchReport report("figure1_adversary");
   // The Figure 1 adversary wins deterministically for both coin values:
   // bad-outcome probability 1 (termination probability 0, Appendix A.2).
   // Exhaustive over the coin space, so the value is exact, not sampled.
-  bench::set_exact_probability(report, "bad_probability", wins / 2.0);
+  set_exact_probability(report, "bad_probability", wins / 2.0);
   // k=1 leaves the Theorem 4.2 bound vacuous (bound = Prob[O] = 1): the
   // watchdog checks that the observed probability-1 loop does not EXCEED it.
-  bench::set_thm42_instance(report, /*k=*/1, /*r=*/1, /*n=*/3,
-                            /*prob_lin=*/1.0, /*prob_atomic=*/0.5, wins / 2.0);
+  set_thm42_instance(report, /*k=*/1, /*r=*/1, /*n=*/3,
+                     /*prob_lin=*/1.0, /*prob_atomic=*/0.5, wins / 2.0);
   report.set_metric_int("adversary_wins", wins);
   report.set_metric_int("coin_branches", 2);
   report.set_metric_bool("strong_linearizability_refuted", !strong.ok);
@@ -89,17 +88,19 @@ void run() {
   report.set_metric_int("steps_coin1", worlds[1]->steps_executed());
   // Instrumented probe: the same weakener-over-ABD workload under a random
   // scheduler (the scripted Figure 1 worlds run with metrics off).
-  bench::merge_probe(
-      report, bench::run_instrumented_weakener(/*coin_seed=*/0,
-                                               /*sched_seed=*/0, /*k=*/1)
-                  .snapshot);
-  bench::write_report(report);
+  merge_probe(report, run_instrumented_weakener(/*coin_seed=*/0,
+                                                /*sched_seed=*/0, /*k=*/1)
+                          .snapshot);
+  return 0;
 }
 
 }  // namespace
-}  // namespace blunt
 
-int main() {
-  blunt::run();
-  return 0;
+Experiment make_figure1_adversary_experiment() {
+  return {.name = "figure1_adversary",
+          .description = "E2: Figure 1 adversary vs plain ABD, both coin "
+                         "branches, (tail-)strong checks (finalize only)",
+          .finalize = finalize};
 }
+
+}  // namespace blunt::exp

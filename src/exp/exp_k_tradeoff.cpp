@@ -13,30 +13,29 @@
 // large T. Both curves are printed, plus measured random-scheduler rates.
 #include <cstdio>
 
-#include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "core/bounds.hpp"
+#include "exp/workloads.hpp"
 #include "game/solver.hpp"
 #include "game/weakener_game.hpp"
 #include "programs/rounds.hpp"
 #include "sim/adversaries.hpp"
 
-namespace blunt {
+namespace blunt::exp {
 namespace {
 
 void part1_costs(obs::BenchReport& report) {
-  bench::print_header(
-      "E6a: cost of ABD^k (weakener run: messages and steps vs k)");
-  bench::print_rule();
+  print_header("E6a: cost of ABD^k (weakener run: messages and steps vs k)");
+  print_rule();
   std::printf("%4s %14s %14s %14s %18s\n", "k", "R msgs/run", "C msgs/run",
               "steps/run", "Thm4.2 term. >=");
-  bench::print_rule();
+  print_rule();
   obs::JsonArray cost_rows;
   for (const int k : {1, 2, 3, 4, 6, 8}) {
     RunningStats r_msgs, c_msgs, steps;
     for (std::uint64_t seed = 0; seed < 40; ++seed) {
-      adversary::McInstance inst = bench::make_abd_weakener(
-          seed, k, bench::kWeakenerNumProcesses, /*metrics=*/true);
+      adversary::McInstance inst = make_abd_weakener(
+          seed, k, kWeakenerNumProcesses, /*metrics=*/true);
       sim::UniformAdversary adv(seed + 99);
       const sim::RunResult res = inst.world->run(adv);
       // Aggregate every run's registry (messages, steps by kind, preamble
@@ -68,21 +67,21 @@ void part1_costs(obs::BenchReport& report) {
     cost_rows.emplace_back(std::move(row));
   }
   report.set_metric_json("abd_k_costs", obs::Json(std::move(cost_rows)));
-  bench::print_rule();
+  print_rule();
   std::printf("shape: cost grows ~linearly in k; the guarantee improves "
               "toward the atomic 1/2.\n");
 }
 
 void part2_rounds(obs::BenchReport& report) {
-  bench::print_header(
+  print_header(
       "E6b: round-based programs (Section 7): global bound vs "
       "communication-closed per-round bound, k = 2");
   const int k = 2;
-  bench::print_rule();
+  print_rule();
   std::printf("%4s %6s %16s %20s %24s %14s\n", "T", "r",
               "exact atomic bad", "global Thm4.2 bad<=",
               "per-round composed bad<=", "random MC");
-  bench::print_rule();
+  print_rule();
   obs::JsonArray round_rows;
   for (const int t_rounds : {1, 2, 4, 8}) {
     // Global: r = T random steps, one application of the theorem.
@@ -138,30 +137,35 @@ void part2_rounds(obs::BenchReport& report) {
     round_rows.emplace_back(std::move(row));
     if (t_rounds == 1) {
       // Headline: the single-round ABD² bound — the same 5/8-adjacent
-      // quantity the other k=2 benches report (here the generic 7/8 bound).
-      bench::set_exact_probability(report, "bad_probability",
-                                   composed.to_double());
+      // quantity the other k=2 experiments report (here the generic 7/8
+      // bound).
+      set_exact_probability(report, "bad_probability", composed.to_double());
       report.set_metric_string("bad_probability_exact", composed.to_string());
     }
   }
   report.set_metric_json("round_composition", obs::Json(std::move(round_rows)));
-  bench::print_rule();
+  print_rule();
   std::printf(
       "shape: the global bound is vacuous once r >= k; the per-round bound "
       "stays useful\nfor any T — the Section 7 refinement.\n");
 }
 
-}  // namespace
-}  // namespace blunt
-
-int main() {
-  blunt::obs::BenchReport report("k_tradeoff");
-  blunt::part1_costs(report);
-  blunt::part2_rounds(report);
+int finalize(obs::BenchReport& report, const Accumulator&, const RunInfo&) {
+  part1_costs(report);
+  part2_rounds(report);
   report.set_environment_int("part1_runs_per_k", 40);
   report.set_environment_int("part2_mc_seeds", 60);
-  report.set_environment_int("num_processes",
-                             blunt::bench::kWeakenerNumProcesses);
-  blunt::bench::write_report(report);
+  report.set_environment_int("num_processes", kWeakenerNumProcesses);
   return 0;
 }
+
+}  // namespace
+
+Experiment make_k_tradeoff_experiment() {
+  return {.name = "k_tradeoff",
+          .description = "E6: ABD^k cost vs its Theorem 4.2 guarantee, and the "
+                         "Section 7 per-round bound (finalize only)",
+          .finalize = finalize};
+}
+
+}  // namespace blunt::exp

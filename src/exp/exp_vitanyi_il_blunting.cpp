@@ -9,10 +9,14 @@
 // Israeli–Li: single-writer, so the weakener does not apply; the table
 // reports adversarial soak linearizability, object random steps (reads only
 // — Write's preamble is empty), and tail-strong chain verdicts w.r.t. Π_IL.
+//
+// The registry section comes from each sweep's seed-0 run, made with metrics
+// on. Metrics never change a schedule, so that run still counts toward the
+// Monte-Carlo columns like any other.
 #include <cstdio>
 
-#include "bench_util.hpp"
 #include "common/stats.hpp"
+#include "exp/workloads.hpp"
 #include "game/solver.hpp"
 #include "game/va_game.hpp"
 #include "lin/check.hpp"
@@ -21,16 +25,16 @@
 #include "objects/vitanyi.hpp"
 #include "sim/adversaries.hpp"
 
-namespace blunt {
+namespace blunt::exp {
 namespace {
 
 void vitanyi_part(obs::BenchReport& report) {
-  bench::print_header(
+  print_header(
       "E9a: weakener over Vitanyi-Awerbuch MWMR registers (Section 5.3)");
-  bench::print_rule();
+  print_rule();
   std::printf("%6s %12s %12s %14s %12s\n", "k", "exact bad", "MC bad",
               "steps/run", "chains ok");
-  bench::print_rule();
+  print_rule();
   obs::JsonArray va_rows;
   for (const int k : {1, 2, 3}) {
     const Rational exact = game::solve(game::VaPhaseWeakenerGame(k));
@@ -40,7 +44,8 @@ void vitanyi_part(obs::BenchReport& report) {
     int chains = 0;
     for (std::uint64_t seed = 0; seed < 200; ++seed) {
       auto w = std::make_unique<sim::World>(
-          sim::Config{}, std::make_unique<sim::SeededCoin>(seed));
+          sim::Config{.metrics = seed == 0},
+          std::make_unique<sim::SeededCoin>(seed));
       objects::VitanyiRegister r("R", *w,
                                  {.num_processes = 3,
                                   .preamble_iterations = k});
@@ -53,6 +58,8 @@ void vitanyi_part(obs::BenchReport& report) {
       programs::install_weakener(*w, r, c, out);
       sim::UniformAdversary adv(seed * 29 + 13);
       const sim::RunResult res = w->run(adv);
+      // Preamble iterations come from the shared transform preamble.
+      if (seed == 0) report.merge_registry(w->metrics()->snapshot());
       if (res.status != sim::RunStatus::kCompleted) continue;
       bad.add(out.looped());
       steps.add(res.steps);
@@ -70,26 +77,6 @@ void vitanyi_part(obs::BenchReport& report) {
                 exact.to_string().c_str(), bad.mean(), steps.mean(),
                 chains_ok, chains);
 
-    // One instrumented VA-weakener run per k for the registry section
-    // (preamble iterations come from the shared transform preamble).
-    {
-      auto w = std::make_unique<sim::World>(
-          sim::Config{.metrics = true}, std::make_unique<sim::SeededCoin>(0));
-      objects::VitanyiRegister r("R", *w,
-                                 {.num_processes = 3,
-                                  .preamble_iterations = k});
-      objects::VitanyiRegister c(
-          "C", *w,
-          {.num_processes = 3,
-           .initial = sim::Value(std::int64_t{-1}),
-           .preamble_iterations = k});
-      programs::WeakenerOutcome out;
-      programs::install_weakener(*w, r, c, out);
-      sim::UniformAdversary adv(13);
-      (void)w->run(adv);
-      report.merge_registry(w->metrics()->snapshot());
-    }
-
     obs::JsonObject row;
     row["k"] = obs::Json(k);
     row["bad_exact"] = obs::Json(exact.to_string());
@@ -100,19 +87,18 @@ void vitanyi_part(obs::BenchReport& report) {
     row["chains_checked"] = obs::Json(chains);
     va_rows.emplace_back(std::move(row));
     if (k == 2) {
-      bench::set_exact_probability(report, "bad_probability",
-                                   exact.to_double());
+      set_exact_probability(report, "bad_probability", exact.to_double());
       report.set_metric_string("bad_probability_exact", exact.to_string());
-      bench::set_bernoulli_metric(report, "bad_probability_mc", bad);
+      set_bernoulli_metric(report, "bad_probability_mc", bad);
       // The VA weakener is the same r=1, n=3 blunting instance (Prob[O]<=1
       // trivially), so the generic bound applies verbatim.
-      bench::set_thm42_instance(report, k, /*r=*/1, /*n=*/3,
-                                /*prob_lin=*/1.0, /*prob_atomic=*/0.5,
-                                exact.to_double());
+      set_thm42_instance(report, k, /*r=*/1, /*n=*/3,
+                         /*prob_lin=*/1.0, /*prob_atomic=*/0.5,
+                         exact.to_double());
     }
   }
   report.set_metric_json("vitanyi_sweep", obs::Json(std::move(va_rows)));
-  bench::print_rule();
+  print_rule();
   std::printf(
       "beyond-paper: the EXACT optimal-adversary value is 1/2 for every k — "
       "the weakener\ncannot exploit VA at all (a VA write's tail is one "
@@ -122,12 +108,11 @@ void vitanyi_part(obs::BenchReport& report) {
 }
 
 void israeli_li_part(obs::BenchReport& report) {
-  bench::print_header(
-      "E9b: Israeli-Li multi-reader register soak (Section 5.4)");
-  bench::print_rule();
+  print_header("E9b: Israeli-Li multi-reader register soak (Section 5.4)");
+  print_rule();
   std::printf("%6s %14s %16s %12s\n", "k", "lin ok", "object randoms",
               "chains ok");
-  bench::print_rule();
+  print_rule();
   obs::JsonArray il_rows;
   for (const int k : {1, 2, 3}) {
     int lin_ok = 0;
@@ -137,7 +122,8 @@ void israeli_li_part(obs::BenchReport& report) {
     int chains = 0;
     for (std::uint64_t seed = 0; seed < 200; ++seed) {
       auto w = std::make_unique<sim::World>(
-          sim::Config{}, std::make_unique<sim::SeededCoin>(seed));
+          sim::Config{.metrics = seed == 0},
+          std::make_unique<sim::SeededCoin>(seed));
       objects::IsraeliLiRegister reg(
           "R", *w,
           {.num_readers = 2, .writer = 2, .preamble_iterations = k});
@@ -153,7 +139,11 @@ void israeli_li_part(obs::BenchReport& report) {
         co_await reg.write(p, sim::Value(std::int64_t{2}));
       });
       sim::UniformAdversary adv(seed * 37 + 17);
-      if (w->run(adv).status != sim::RunStatus::kCompleted) continue;
+      const sim::RunStatus status = w->run(adv).status;
+      // Read preamble iterations and step kinds; IL is shared-memory, so
+      // net.* counters stay zero.
+      if (seed == 0) report.merge_registry(w->metrics()->snapshot());
+      if (status != sim::RunStatus::kCompleted) continue;
       ++runs;
       randoms.add(w->random_draws());
       lin::RegisterSpec spec;
@@ -169,30 +159,6 @@ void israeli_li_part(obs::BenchReport& report) {
     std::printf("%6d %9d/%-4d %16.1f %9d/%-2d\n", k, lin_ok, runs,
                 randoms.mean(), chains_ok, chains);
 
-    // One instrumented IL soak run per k (read preamble iterations, step
-    // kinds; IL is shared-memory, so net.* counters stay zero).
-    {
-      auto w = std::make_unique<sim::World>(
-          sim::Config{.metrics = true}, std::make_unique<sim::SeededCoin>(0));
-      objects::IsraeliLiRegister reg(
-          "R", *w,
-          {.num_readers = 2, .writer = 2, .preamble_iterations = k});
-      for (Pid pid = 0; pid < 2; ++pid) {
-        w->add_process("r" + std::to_string(pid),
-                       [&reg](sim::Proc p) -> sim::Task<void> {
-                         (void)co_await reg.read(p);
-                         (void)co_await reg.read(p);
-                       });
-      }
-      w->add_process("w", [&reg](sim::Proc p) -> sim::Task<void> {
-        co_await reg.write(p, sim::Value(std::int64_t{1}));
-        co_await reg.write(p, sim::Value(std::int64_t{2}));
-      });
-      sim::UniformAdversary adv(17);
-      (void)w->run(adv);
-      report.merge_registry(w->metrics()->snapshot());
-    }
-
     obs::JsonObject row;
     row["k"] = obs::Json(k);
     row["linearizable"] = obs::Json(lin_ok);
@@ -203,7 +169,7 @@ void israeli_li_part(obs::BenchReport& report) {
     il_rows.emplace_back(std::move(row));
   }
   report.set_metric_json("israeli_li_soak", obs::Json(std::move(il_rows)));
-  bench::print_rule();
+  print_rule();
   std::printf(
       "note: IL is single-writer, so Algorithm 1 does not apply to it; the "
       "paper's\nclaims for IL (Section 5.4) are linearizability + tail strong "
@@ -212,15 +178,21 @@ void israeli_li_part(obs::BenchReport& report) {
       "one iff k > 1.\n");
 }
 
-}  // namespace
-}  // namespace blunt
-
-int main() {
-  blunt::obs::BenchReport report("vitanyi_il_blunting");
-  blunt::vitanyi_part(report);
-  blunt::israeli_li_part(report);
+int finalize(obs::BenchReport& report, const Accumulator&, const RunInfo&) {
+  vitanyi_part(report);
+  israeli_li_part(report);
   report.set_environment_int("va_mc_runs_per_k", 200);
   report.set_environment_int("il_soak_runs_per_k", 200);
-  blunt::bench::write_report(report);
   return 0;
 }
+
+}  // namespace
+
+Experiment make_vitanyi_il_blunting_experiment() {
+  return {.name = "vitanyi_il_blunting",
+          .description = "E9: weakener over Vitanyi-Awerbuch^k and an "
+                         "Israeli-Li^k soak, k in {1,2,3} (finalize only)",
+          .finalize = finalize};
+}
+
+}  // namespace blunt::exp

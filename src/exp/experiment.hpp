@@ -5,8 +5,9 @@
 // finalize hook that turns the merged accumulator into a BenchReport —
 // exact game solves, closed-form tables, instrumented probe runs, and the
 // human-readable console tables all live in finalize, where they run once on
-// the aggregator thread. The registry makes each experiment addressable by
-// name from the unified `blunt_exp` CLI and from the thin bench mains.
+// the aggregator thread. A finalize-only experiment has no trial body and
+// does all its work there. The registry makes each experiment addressable by
+// name from the unified `blunt_exp` CLI.
 #pragma once
 
 #include <cstdint>
@@ -84,7 +85,8 @@ struct Experiment {
 
   /// The shardable per-trial body. MUST be thread-compatible: worlds,
   /// adversaries, and all mutable state are built locally per trial; the
-  /// only cross-trial communication is the shard Accumulator.
+  /// only cross-trial communication is the shard Accumulator. Empty for a
+  /// finalize-only experiment, which then takes no trials.
   std::function<void(const TrialContext&, Accumulator&)> trial;
 
   /// Serial post-barrier hook: merged accumulator -> report metrics +
@@ -102,8 +104,7 @@ void register_experiment(Experiment e);
 [[nodiscard]] const Experiment* find_experiment(const std::string& name);
 [[nodiscard]] std::vector<const Experiment*> list_experiments();
 
-/// Registers the ported bench suite (theorem42_bound, abd_k_sweep,
-/// chaos_soak, equivalence_soak, snapshot_blunting, hotpath). Idempotent.
+/// Registers the 15 builtin experiments (exp_*.cpp). Idempotent.
 void register_builtin_experiments();
 
 }  // namespace blunt::exp

@@ -12,6 +12,12 @@ Experiment make_hotpath_experiment();
 Experiment make_fuzz_search_experiment();
 Experiment make_scaling_probe_experiment();
 Experiment make_n_sweep_experiment();
+Experiment make_atomic_baseline_experiment();
+Experiment make_figure1_adversary_experiment();
+Experiment make_abd2_exact_game_experiment();
+Experiment make_k_tradeoff_experiment();
+Experiment make_vitanyi_il_blunting_experiment();
+Experiment make_consensus_experiment();
 
 void register_builtin_experiments() {
   static const bool once = [] {
@@ -24,6 +30,12 @@ void register_builtin_experiments() {
     register_experiment(make_fuzz_search_experiment());
     register_experiment(make_scaling_probe_experiment());
     register_experiment(make_n_sweep_experiment());
+    register_experiment(make_atomic_baseline_experiment());
+    register_experiment(make_figure1_adversary_experiment());
+    register_experiment(make_abd2_exact_game_experiment());
+    register_experiment(make_k_tradeoff_experiment());
+    register_experiment(make_vitanyi_il_blunting_experiment());
+    register_experiment(make_consensus_experiment());
     return true;
   }();
   (void)once;

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "exp/parse.hpp"
 #include "exp/workloads.hpp"
 #include "obs/prof_export.hpp"
 #include "obs/report.hpp"
@@ -76,13 +75,6 @@ int run_registered(const std::string& name, const RunOptions& opts) {
     std::fprintf(stderr, "%s FAILED: %s\n", name.c_str(), ex.what());
     return 1;
   }
-}
-
-int run_experiment_main(const std::string& name) {
-  RunOptions opts;
-  const int t = env_number<int>("BLUNT_EXP_THREADS", 0);
-  if (t > 0) opts.threads = t;
-  return run_registered(name, opts);
 }
 
 }  // namespace blunt::exp

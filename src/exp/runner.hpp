@@ -1,8 +1,7 @@
 // The report-producing wrapper around the engine: run an experiment's trial
 // phase, hand the merged accumulator to its serial finalize hook, stamp
 // engine provenance and wall clocks, and write the standard schema-v1
-// BENCH_<name>.json. Both the unified `blunt_exp` CLI and the thin
-// per-bench mains funnel through here.
+// BENCH_<name>.json. The `blunt_exp` CLI funnels through here.
 #pragma once
 
 #include <string>
@@ -28,10 +27,5 @@ int run_and_report(const Experiment& e, const RunOptions& opts);
 /// error, or a report or corpus file that cannot be written) prints the
 /// error, which names the file, and returns 1.
 int run_registered(const std::string& name, const RunOptions& opts);
-
-/// Entry point for the thin bench mains (bench_<name> binaries): runs the
-/// registered experiment with default options, honoring $BLUNT_EXP_THREADS
-/// (default 1, the historical serial behavior).
-int run_experiment_main(const std::string& name);
 
 }  // namespace blunt::exp

@@ -1,8 +1,5 @@
-// Shared workload builders and report conventions for experiments and
-// benches. Historically these lived in bench/bench_util.hpp; they moved here
-// so registered experiments (src/exp/exp_*.cpp) and the remaining standalone
-// benches draw on one copy. bench/bench_util.hpp re-exports everything into
-// blunt::bench.
+// Shared workload builders and report conventions for the registered
+// experiments (src/exp/exp_*.cpp).
 #pragma once
 
 #include <algorithm>
@@ -32,8 +29,8 @@
 namespace blunt::exp {
 
 /// Replication width of the weakener's ABD registers (the paper's n = 3).
-/// Shared by make_abd_weakener and the sweep benches so a sweep can vary it
-/// in one place.
+/// Shared by make_abd_weakener and the sweep experiments so a sweep can vary
+/// it in one place.
 inline constexpr int kWeakenerNumProcesses = 3;
 
 /// Weakener over ABD^k registers, coin seeded for Monte-Carlo trials.
@@ -98,7 +95,7 @@ inline ProbeRun run_instrumented_weakener(
 }
 
 /// Guarantees the canonical cross-bench counters exist (as zeros) even when
-/// a workload never exercises them — e.g. atomic-register benches send no
+/// a workload never exercises them — e.g. atomic-register experiments send no
 /// messages — so every BENCH_*.json exposes the same counter keys.
 inline void ensure_canonical_counters(obs::MetricsSnapshot& s) {
   for (const char* name :

@@ -20,7 +20,7 @@
 // Measured: the exact value is 1/2 for every k — the double-collect
 // discipline already pins a pending Scan's view before the coin can be
 // exploited in this program (the adversary does no better than against an
-// atomic snapshot). See bench_snapshot_blunting.
+// atomic snapshot). See `blunt_exp run snapshot_blunting`.
 #pragma once
 
 #include "game/solver.hpp"

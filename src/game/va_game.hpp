@@ -17,7 +17,7 @@
 // pending Read's relevant cells are already committed. Not every
 // linearizable-but-not-strongly-linearizable object is exploitable by every
 // program — the transformation's guarantee (Theorem 4.2) is what holds
-// universally. bench_vitanyi_il_blunting prints the exact values.
+// universally. `blunt_exp run vitanyi_il_blunting` prints the exact values.
 #pragma once
 
 #include "game/solver.hpp"

@@ -32,18 +32,30 @@ constexpr double kCounterNoiseFloor = 64.0;
   return (b != nullptr && b->is_string()) ? b->as_string() : "<unknown>";
 }
 
+[[nodiscard]] bool has_suffix(const std::string& key, const std::string& s) {
+  return key.size() > s.size() &&
+         key.compare(key.size() - s.size(), s.size(), s) == 0;
+}
+
 /// True for the companion keys that ride along a Bernoulli metric and must
 /// not be compared as standalone quantities.
 [[nodiscard]] bool is_companion_key(const std::string& key) {
-  if (key == "trials") return true;
-  for (const char* suffix : {"_lo", "_hi", "_trials"}) {
-    const std::string s(suffix);
-    if (key.size() > s.size() &&
-        key.compare(key.size() - s.size(), s.size(), s) == 0) {
-      return true;
-    }
+  return key == "trials" || has_suffix(key, "_lo") || has_suffix(key, "_hi") ||
+         has_suffix(key, "_trials");
+}
+
+/// The metric's sample size from `_trials` (or the headline `trials`);
+/// 0 marks an exact value. nullopt when the report does not say.
+[[nodiscard]] std::optional<std::int64_t> trials_of(const JsonObject& metrics,
+                                                    const std::string& key) {
+  auto trials = metrics.find(key + "_trials");
+  if (trials == metrics.end() && key == "bad_probability") {
+    trials = metrics.find("trials");
   }
-  return false;
+  if (trials == metrics.end() || !trials->second.is_number()) {
+    return std::nullopt;
+  }
+  return trials->second.as_int();
 }
 
 /// The metric's Wilson interval, from its `_lo`/`_hi` companions when the
@@ -59,20 +71,14 @@ constexpr double kCounterNoiseFloor = 64.0;
       hi->second.is_number()) {
     return Interval{lo->second.as_double(), hi->second.as_double()};
   }
-  auto trials = metrics.find(key + "_trials");
-  if (trials == metrics.end() && key == "bad_probability") {
-    trials = metrics.find("trials");
+  const std::optional<std::int64_t> n = trials_of(metrics, key);
+  if (!n.has_value()) return std::nullopt;
+  if (*n > 0) {
+    const auto successes =
+        static_cast<std::int64_t>(std::llround(value * static_cast<double>(*n)));
+    return wilson_interval(successes, *n);
   }
-  if (trials != metrics.end() && trials->second.is_number()) {
-    const std::int64_t n = trials->second.as_int();
-    if (n > 0) {
-      const auto successes =
-          static_cast<std::int64_t>(std::llround(value * static_cast<double>(n)));
-      return wilson_interval(successes, n);
-    }
-    return Interval{value, value};  // _trials == 0 marks an exact value
-  }
-  return std::nullopt;
+  return Interval{value, value};  // _trials == 0 marks an exact value
 }
 
 [[nodiscard]] bool lower_is_better(const std::string& key) {
@@ -143,6 +149,19 @@ void compare_metrics(const Json& base, const Json& cur, const std::string& bench
       out.push_back(std::move(c));
       continue;
     }
+    if (bv.is_string() && cv.is_string() && has_suffix(key, "_exact")) {
+      // An exactly solved rational ("5/8"): any change is a regression.
+      c.kind = "exact";
+      if (bv.as_string() == cv.as_string()) {
+        c.evidence = "unchanged (" + cv.as_string() + ")";
+      } else {
+        c.verdict = Verdict::kRegressed;
+        c.evidence = "exact value moved " + bv.as_string() + " -> " +
+                     cv.as_string();
+      }
+      out.push_back(std::move(c));
+      continue;
+    }
     if (!bv.is_number() || !cv.is_number()) continue;  // strings / payloads
     c.baseline = bv.as_double();
     c.current = cv.as_double();
@@ -150,6 +169,18 @@ void compare_metrics(const Json& base, const Json& cur, const std::string& bench
     const std::optional<Interval> ci = interval_of(*cm, key, c.current);
     if (bi.has_value() && ci.has_value()) {
       c.kind = "bernoulli";
+      if (trials_of(*bm, key) == 0 && trials_of(*cm, key) == 0) {
+        // Exact on both sides: a move in either direction is a regression.
+        if (std::abs(c.current - c.baseline) <= kEps) {
+          c.evidence = "exact value unchanged";
+        } else {
+          c.verdict = Verdict::kRegressed;
+          c.evidence = "exact value moved " + fmt(c.baseline) + " -> " +
+                       fmt(c.current);
+        }
+        out.push_back(std::move(c));
+        continue;
+      }
       const bool worse = ci->lo > bi->hi + kEps;   // higher bad probability
       const bool better = ci->hi < bi->lo - kEps;  // lower bad probability
       const std::string detail = "Wilson 95% [" + fmt(ci->lo) + ", " +

@@ -8,9 +8,12 @@
 //     interval overlap: a verdict other than neutral requires DISJOINT
 //     intervals, so small-sample jitter can never fail the gate. A metric
 //     `K` is Bernoulli when it carries `K_lo` / `K_hi` companions (written
-//     by bench::set_bernoulli_metric / set_exact_probability; `K_trials` =
-//     0 marks an exact analytic value with a degenerate interval). Lower is
+//     by exp::set_bernoulli_metric / set_exact_probability). Lower is
 //     better by convention — these are bad-outcome probabilities.
+//   * exact values: `K_trials` = 0 on both sides marks an analytic or
+//     exactly solved value with a degenerate interval, and a `*_exact`
+//     string holds such a value as a rational ("5/8"). Any change to
+//     either, in either direction, is a regression;
 //   * numeric metrics with no interval evidence compare as scalars: drift
 //     of a lower-is-better key is a verdict, any other change is
 //     informational; boolean metrics are invariant flags;
@@ -48,8 +51,8 @@ enum class Verdict {
 struct MetricComparison {
   std::string bench;
   std::string metric;  // dotted path, e.g. "metrics.bad_probability"
-  std::string kind;    // "bernoulli" | "counter" | "scalar" | "flag" |
-                       // "bound"
+  std::string kind;    // "bernoulli" | "exact" | "counter" | "scalar" |
+                       // "flag" | "bound"
   Verdict verdict = Verdict::kNeutral;
   double baseline = 0.0;
   double current = 0.0;

@@ -8,7 +8,8 @@
 // touched in other rounds), a per-round analysis applies with r_eff = s = 1
 // instead of the global r = T, so the per-round bad-outcome probability obeys
 // the k-vs-1 bound and the total obeys 1 − (1 − p_round)^T — far below the
-// global worst-case bound for large T. bench_k_tradeoff prints both curves.
+// global worst-case bound for large T. `blunt_exp run k_tradeoff` prints both
+// curves.
 #pragma once
 
 #include <memory>

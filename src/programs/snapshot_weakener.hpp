@@ -13,7 +13,7 @@
 // (p1's update completes before the flip, so only1 is the only single-segment
 // view reachable afterwards; matching requires coin = 1). The Afek et al.
 // double-collect discipline turns out to leave the adversary no extra power
-// in THIS program (measured in bench_snapshot_blunting) — unlike ABD in
+// in THIS program (measured by `blunt_exp run snapshot_blunting`) — unlike ABD in
 // Algorithm 1 — but Theorem 4.2's guarantee for Snapshot^k applies
 // regardless, and the bench reports the measured values next to the bound.
 #pragma once

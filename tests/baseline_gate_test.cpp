@@ -92,6 +92,36 @@ TEST(BaselineGate, ChaosSoakMatchesBaseline) {
   expect_matches_baseline("chaos_soak", /*trials=*/40);
 }
 
+TEST(BaselineGate, EquivalenceSoakMatchesBaseline) {
+  expect_matches_baseline("equivalence_soak");
+}
+
+// The finalize-only experiments: exact solves, scripted adversaries and
+// serial sweeps, each run once in finalize.
+TEST(BaselineGate, AtomicBaselineMatchesBaseline) {
+  expect_matches_baseline("atomic_baseline");
+}
+
+TEST(BaselineGate, Figure1AdversaryMatchesBaseline) {
+  expect_matches_baseline("figure1_adversary");
+}
+
+TEST(BaselineGate, Abd2ExactGameMatchesBaseline) {
+  expect_matches_baseline("abd2_exact_game");
+}
+
+TEST(BaselineGate, KTradeoffMatchesBaseline) {
+  expect_matches_baseline("k_tradeoff");
+}
+
+TEST(BaselineGate, VitanyiIlBluntingMatchesBaseline) {
+  expect_matches_baseline("vitanyi_il_blunting");
+}
+
+TEST(BaselineGate, ConsensusMatchesBaseline) {
+  expect_matches_baseline("consensus");
+}
+
 TEST(BaselineGate, SnapshotBluntingHoldsTheorem42Bound) {
   expect_clean("snapshot_blunting",
                obs::check_thm42_bound(run_report("snapshot_blunting")));

@@ -83,24 +83,60 @@ TEST(Compare, IdenticalReportsAreClean) {
   }
 }
 
-/// Exact analytic values (degenerate intervals, _trials = 0): ANY drift in
-/// the wrong direction is significant.
+/// Report with an exactly solved headline (degenerate interval, _trials =
+/// 0) and its rational string, the way exp::set_exact_probability and the
+/// game-solving experiments write them.
+[[nodiscard]] Json exact_report(double v, const std::string& exact = "") {
+  BenchReport r("synthetic");
+  r.set_metric("bad_probability", v);
+  r.set_metric("bad_probability_lo", v);
+  r.set_metric("bad_probability_hi", v);
+  r.set_metric_int("bad_probability_trials", 0);
+  if (!exact.empty()) r.set_metric_string("bad_probability_exact", exact);
+  r.add_timing_ms("total", 1.0);
+  return r.to_json();
+}
+
+/// Exact analytic values (degenerate intervals, _trials = 0): ANY drift is
+/// significant.
 TEST(Compare, ExactProbabilityDriftRegressesWithoutSamples) {
-  const auto exact_report = [](double v) {
-    BenchReport r("synthetic");
-    r.set_metric("bad_probability", v);
-    r.set_metric("bad_probability_lo", v);
-    r.set_metric("bad_probability_hi", v);
-    r.set_metric_int("bad_probability_trials", 0);
-    r.add_timing_ms("total", 1.0);
-    return r.to_json();
-  };
   const CompareResult r =
       compare_reports(exact_report(0.625), exact_report(0.6251));
   const MetricComparison* c =
       find_metric(r, "metrics.bad_probability", "bernoulli");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->verdict, Verdict::kRegressed);
+}
+
+/// ... and in the other direction too: an exact value that drops is not an
+/// improvement. A solver that returned 1/2 for ABD² must fail the gate.
+TEST(Compare, ExactProbabilityDropRegressesToo) {
+  const CompareResult r =
+      compare_reports(exact_report(0.625), exact_report(0.5));
+  const MetricComparison* c =
+      find_metric(r, "metrics.bad_probability", "bernoulli");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->verdict, Verdict::kRegressed);
+  EXPECT_TRUE(r.has_regression());
+}
+
+/// A `*_exact` rational string is compared, not skipped as a payload.
+TEST(Compare, ExactRationalStringChangeRegresses) {
+  const CompareResult moved =
+      compare_reports(exact_report(0.625, "5/8"), exact_report(0.625, "1/2"));
+  const MetricComparison* c =
+      find_metric(moved, "metrics.bad_probability_exact", "exact");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->verdict, Verdict::kRegressed);
+  EXPECT_NE(c->evidence.find("5/8 -> 1/2"), std::string::npos);
+  EXPECT_TRUE(moved.has_regression());
+
+  const CompareResult same =
+      compare_reports(exact_report(0.625, "5/8"), exact_report(0.625, "5/8"));
+  c = find_metric(same, "metrics.bad_probability_exact", "exact");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->verdict, Verdict::kNeutral);
+  EXPECT_FALSE(same.has_regression());
 }
 
 TEST(Compare, CounterDeltasUseRelativeThresholdWithFloor) {

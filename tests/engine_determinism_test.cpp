@@ -2,7 +2,8 @@
 // bit-identical for every --threads value, seeds derive purely from
 // (experiment_seed, trial_index), and the builtin experiments' reports carry
 // thread-count-independent metrics sections. The report path
-// (run_and_report) writes one validated report per run.
+// (run_and_report) writes one validated report per run, and a finalize-only
+// experiment refuses a trial count.
 #include "exp/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "exp/runner.hpp"
@@ -129,6 +131,27 @@ TEST(Engine, SeedOverrideChangesSplitMixResults) {
             run_trials(e, b).merged.to_json().dump());
 }
 
+TEST(Engine, FinalizeOnlyExperimentRefusesTrialsNamingIt) {
+  Experiment e;
+  e.name = "finalize_only_probe";
+  e.finalize = [](obs::BenchReport&, const Accumulator&, const RunInfo&) {
+    return 0;
+  };
+  // Its default is no trials at all: an empty trial phase.
+  EXPECT_EQ(run_trials(e, opts_with(2)).info.shards_total, 0);
+
+  RunOptions five = opts_with(2);
+  five.trials = 5;
+  try {
+    (void)run_trials(e, five);
+    ADD_FAILURE() << "a finalize-only experiment accepted 5 trials";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("finalize_only_probe"),
+              std::string::npos)
+        << err.what();
+  }
+}
+
 TEST(Engine, TimingSweepRecordsWallClocksAndSelfChecks) {
   const Experiment e = make_synthetic(100);
   RunOptions o = opts_with(2);
@@ -236,15 +259,49 @@ TEST(BuiltinExperiments, Theorem42MetricsThreadCountIndependent) {
             rb.to_json().at("registry").dump());
 }
 
-TEST(BuiltinExperiments, AllNineAreRegistered) {
+TEST(BuiltinExperiments, NSweepMetricsThreadCountIndependent) {
+  register_builtin_experiments();
+  const Experiment* e = find_experiment("n_sweep");
+  ASSERT_NE(e, nullptr);
+  std::string want_metrics;
+  std::string want_registry;
+  for (const int threads : {1, 2}) {
+    RunOptions o;
+    o.threads = threads;
+    o.trials = 15;  // one trial per (n, k) group
+    const RunOutput out = run_trials(*e, o);
+    obs::BenchReport report(e->name);
+    ASSERT_EQ(e->finalize(report, out.merged, out.info), 0);
+    const obs::Json j = report.to_json();
+    const obs::Json& metrics = j.at("metrics");
+    // The grid's smallest and largest (n, k) groups both ran, and the
+    // throughput legs and the Theorem 4.2 instance were reported.
+    EXPECT_GE(metrics.at("n8_k1.runs").as_int(), 1);
+    EXPECT_GE(metrics.at("n1024_k4.runs").as_int(), 1);
+    for (const char* key : {"throughput_n256.steps", "throughput_n1000.steps",
+                            "bound_value", "bad_probability"}) {
+      EXPECT_NE(metrics.find(key), nullptr) << key;
+    }
+    if (threads == 1) {
+      want_metrics = metrics.dump();
+      want_registry = j.at("registry").dump();
+    } else {
+      EXPECT_EQ(metrics.dump(), want_metrics);
+      EXPECT_EQ(j.at("registry").dump(), want_registry);
+    }
+  }
+}
+
+TEST(BuiltinExperiments, AllFifteenAreRegistered) {
   register_builtin_experiments();
   for (const char* name :
        {"theorem42_bound", "abd_k_sweep", "chaos_soak", "equivalence_soak",
         "snapshot_blunting", "hotpath", "fuzz_search", "scaling_probe",
-        "n_sweep"}) {
+        "n_sweep", "atomic_baseline", "figure1_adversary", "abd2_exact_game",
+        "k_tradeoff", "vitanyi_il_blunting", "consensus"}) {
     EXPECT_NE(find_experiment(name), nullptr) << name;
   }
-  EXPECT_EQ(list_experiments().size(), 9u);
+  EXPECT_EQ(list_experiments().size(), 15u);
   EXPECT_EQ(find_experiment("nope"), nullptr);
 }
 
