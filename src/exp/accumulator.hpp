@@ -25,8 +25,8 @@
 //                excluded from identity comparisons via canonical_dump().
 //
 // The whole accumulator serializes to JSON with shortest-roundtrip doubles;
-// canonical_dump() of that JSON is what the --timing-sweep self-check and
-// the determinism tests compare across thread counts.
+// canonical_dump() of that JSON is what the determinism tests compare
+// across thread counts.
 #pragma once
 
 #include <cstdint>
@@ -93,8 +93,8 @@ class Accumulator {
   [[nodiscard]] obs::Json to_json() const;
 
   /// to_json().dump() with the profiles' advisory nanosecond timings zeroed.
-  /// The engine's cross-thread-count identity assertion compares this — the
-  /// exact components must match to the bit while wall-clock may not.
+  /// The cross-thread-count identity tests compare this — the exact
+  /// components must match to the bit while wall-clock may not.
   [[nodiscard]] std::string canonical_dump() const;
 
  private:

@@ -42,10 +42,9 @@ struct ShardLayout {
 }
 
 /// One shard, run on whichever worker claimed it. The result depends only on
-/// (experiment, layout, shard index, coverage/profile flags).
+/// (experiment, layout, shard index, coverage flag).
 [[nodiscard]] Accumulator run_shard(const Experiment& e, const ShardLayout& l,
-                                    std::int64_t shard, bool coverage,
-                                    bool profile) {
+                                    std::int64_t shard, bool coverage) {
   Accumulator acc;
   const std::int64_t begin = shard * l.shard_size;
   const std::int64_t end = std::min(l.trials, begin + l.shard_size);
@@ -56,7 +55,6 @@ struct ShardLayout {
     ctx.trials = l.trials;
     ctx.seed = derive_seed(e.seed_derivation, l.seed, i);
     ctx.coverage = coverage;
-    ctx.profile = profile;
     e.trial(ctx, acc);
   }
   return acc;
@@ -67,7 +65,7 @@ struct ShardLayout {
 /// inside the same fold.
 [[nodiscard]] Accumulator fold_shards(
     std::vector<Accumulator> shard_accs,
-    std::map<std::string, std::vector<std::int64_t>>* growth = nullptr) {
+    std::map<std::string, std::vector<std::int64_t>>* growth) {
   std::set<std::string> keys;
   if (growth != nullptr) {
     for (const Accumulator& acc : shard_accs) {
@@ -95,7 +93,7 @@ struct PassResult {
 /// One full pass over the shard space at `threads` workers, capped by the
 /// shard count.
 [[nodiscard]] PassResult run_pass(const Experiment& e, const ShardLayout& l,
-                                  int threads, bool coverage, bool profile) {
+                                  int threads, bool coverage) {
   PassResult pass;
   pass.shard_accs.resize(static_cast<std::size_t>(l.num_shards));
 
@@ -106,7 +104,7 @@ struct PassResult {
       const std::int64_t s = next_shard.fetch_add(1);
       if (s >= l.num_shards) return;
       pass.shard_accs[static_cast<std::size_t>(s)] =
-          run_shard(e, l, s, coverage, profile);
+          run_shard(e, l, s, coverage);
     }
   };
 
@@ -150,8 +148,7 @@ RunOutput run_trials(const Experiment& e, const RunOptions& opts) {
         "experiment " + e.name + " has no trial body and takes no trials, "
         "but " + std::to_string(l.trials) + " were requested");
   }
-  PassResult main_pass =
-      run_pass(e, l, opts.threads, opts.coverage, opts.profile);
+  PassResult pass = run_pass(e, l, opts.threads, opts.coverage);
 
   RunOutput out;
   out.info.trials = l.trials;
@@ -159,29 +156,10 @@ RunOutput run_trials(const Experiment& e, const RunOptions& opts) {
   out.info.threads = std::max(1, opts.threads);
   out.info.shard_size = l.shard_size;
   out.info.shards_total = static_cast<int>(l.num_shards);
-  out.info.wall_ms = main_pass.wall_ms;
+  out.info.wall_ms = pass.wall_ms;
   out.info.coverage = opts.coverage;
-  out.info.profile = opts.profile;
-  out.merged = fold_shards(std::move(main_pass.shard_accs),
+  out.merged = fold_shards(std::move(pass.shard_accs),
                            opts.coverage ? &out.info.coverage_growth : nullptr);
-
-  if (!opts.timing_sweep.empty()) {
-    // canonical_dump, not to_json().dump(): profile nanoseconds are advisory
-    // wall-clock and legitimately differ between passes; every exact
-    // component must still match to the bit.
-    const std::string want = out.merged.canonical_dump();
-    for (const int t : opts.timing_sweep) {
-      PassResult sweep = run_pass(e, l, t, opts.coverage, opts.profile);
-      out.info.sweep_wall_ms.emplace_back(std::max(1, t), sweep.wall_ms);
-      // Built-in determinism self-check: every thread count must produce
-      // the same merged bits.
-      const std::string got =
-          fold_shards(std::move(sweep.shard_accs)).canonical_dump();
-      BLUNT_ASSERT(got == want, "timing sweep at " << t << " threads diverged "
-                                << "from the main pass — determinism bug");
-    }
-  }
-
   return out;
 }
 

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "exp/experiment.hpp"
 
@@ -43,22 +42,11 @@ struct RunOptions {
   std::uint64_t seed = 0;
   /// 0 = Experiment::default_shard_size, else kDefaultShardSize.
   int shard_size = 0;
-  /// Extra thread counts to time: for each T the engine re-runs the full
-  /// trial phase at T threads, records the wall clock in
-  /// RunInfo::sweep_wall_ms, and asserts the merged result is bit-identical
-  /// to the main pass — a built-in determinism self-check.
-  std::vector<int> timing_sweep;
   /// Execution-coverage opt-in: sets TrialContext::coverage so trial bodies
   /// record fingerprints, and makes the fold compute the shard-indexed
   /// coverage-growth curve (RunInfo::coverage_growth). Off by default —
   /// coverage must cost nothing when unused.
   bool coverage = false;
-  /// Deterministic-profiling opt-in: sets TrialContext::profile so trial
-  /// bodies run profiled worlds and fold per-subsystem ProfileSnapshots into
-  /// the accumulator. Exact profile counters are bit-identical for any
-  /// --threads value; nanosecond timings are advisory. Off by default — the
-  /// disabled path must be the exact pre-profiling hot path.
-  bool profile = false;
 };
 
 struct RunOutput {

@@ -1,5 +1,5 @@
-// E16: the large-n frontier — weakener termination probability and kernel
-// throughput as the ABD replication width n grows to 1024.
+// E16: the large-n frontier — weakener termination probability as the ABD
+// replication width n grows to 1024.
 //
 // The theory the paper proves is width-independent: Theorem 4.2's bound on
 // the weakener's bad-outcome probability depends on the preamble iteration
@@ -12,20 +12,13 @@
 // to 1024, with per-group Wilson intervals checked against the per-group
 // Theorem 4.2 bound (the instance is the weakener world itself: r = 1
 // register access per preamble, n_procs = the world's process count,
-// Prob[O] = 1, Prob[O_a] = 1/2).
-//
-// The finalize additionally times two fixed hotpath-style throughput legs
-// at n = 256 and n = 1000 (k = 2): exact step totals are regression-gated
-// metrics, the steps/sec rates go to timings_ms, and CI's release job
-// computes the n = 256 speedup ratio against the frozen pre-overhaul
-// baseline in bench/baselines/BENCH_scaling_probe_pre_overhaul.json.
+// Prob[O] = 1, Prob[O_a] = 1/2). The per-group step totals are exact
+// metrics, gated against bench/baselines/BENCH_n_sweep.json.
 //
 // Group layout is a pure function of the trial index (groups are
 // contiguous, equal-size blocks), so merged tallies and counters are
 // bit-identical for any --threads value.
-#include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -33,10 +26,7 @@
 #include "core/bounds.hpp"
 #include "exp/experiment.hpp"
 #include "exp/workloads.hpp"
-#include "objects/abd.hpp"
-#include "programs/weakener.hpp"
 #include "sim/adversaries.hpp"
-#include "sim/coin.hpp"
 
 namespace blunt::exp {
 namespace {
@@ -48,42 +38,8 @@ constexpr int kNumKs = static_cast<int>(sizeof(kKs) / sizeof(kKs[0]));
 constexpr int kNumGroups = kNumNs * kNumKs;
 constexpr int kTrialsPerGroup = 8;
 
-// Throughput-leg sizes. Fixed: the step totals are exact metrics.
-constexpr int kThroughputK = 2;
-constexpr int kThroughputRunsN256 = 4;
-constexpr int kThroughputRunsN1000 = 2;
-
 [[nodiscard]] std::string group_name(int n, int k) {
   return "n" + std::to_string(n) + "_k" + std::to_string(k);
-}
-
-/// Weakener over ABD^k at replication width n: pids 0-2 run Algorithm 1,
-/// pids 3..n-1 are replica-only hosts (same world shape as the scaling
-/// probe).
-adversary::McInstance make_wide_weakener(std::uint64_t coin_seed, int n,
-                                         int k) {
-  adversary::McInstance inst;
-  inst.world = std::make_unique<sim::World>(
-      sim::Config{.metrics = false, .trace_detail = sim::TraceDetail::kNone},
-      std::make_unique<sim::SeededCoin>(coin_seed));
-  auto r = std::make_shared<objects::AbdRegister>(
-      "R", *inst.world,
-      objects::AbdRegister::Options{.num_processes = n,
-                                    .preamble_iterations = k});
-  auto c = std::make_shared<objects::AbdRegister>(
-      "C", *inst.world,
-      objects::AbdRegister::Options{.num_processes = n,
-                                    .initial = sim::Value(std::int64_t{-1}),
-                                    .preamble_iterations = k});
-  auto out = std::make_shared<programs::WeakenerOutcome>();
-  programs::install_weakener(*inst.world, *r, *c, *out);
-  for (Pid pid = 3; pid < n; ++pid) {
-    inst.world->add_process("s" + std::to_string(pid),
-                            [](sim::Proc) -> sim::Task<void> { co_return; });
-  }
-  inst.bad = [out] { return out->looped(); };
-  inst.owned = {r, c, out};
-  return inst;
 }
 
 void trial(const TrialContext& ctx, Accumulator& acc) {
@@ -93,7 +49,8 @@ void trial(const TrialContext& ctx, Accumulator& acc) {
   const int n = kNs[g / kNumKs];
   const int k = kKs[g % kNumKs];
 
-  adversary::McInstance inst = make_wide_weakener(ctx.seed, n, k);
+  adversary::McInstance inst = make_abd_weakener(
+      ctx.seed, k, n, /*metrics=*/false, sim::TraceDetail::kNone);
   sim::UniformAdversary adv(ctx.seed ^ 0x9e3779b97f4a7c15ULL);
   const sim::RunResult res = inst.world->run(adv);
   BLUNT_ASSERT(res.status == sim::RunStatus::kCompleted,
@@ -103,41 +60,6 @@ void trial(const TrialContext& ctx, Accumulator& acc) {
   acc.tally(gname + ".bad").add(inst.bad());
   acc.counter(gname + ".runs") += 1;
   acc.counter(gname + ".steps") += res.steps;
-}
-
-double now_ms() {
-  using namespace std::chrono;
-  return duration<double, std::milli>(steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct ThroughputLeg {
-  std::int64_t steps = 0;
-  double wall_ms = 0.0;
-};
-
-/// Hotpath-style timed leg: one warmup run outside the clock, then `runs`
-/// fixed-seed runs inside it. The step total is bit-identity-exact; only
-/// the wall clock is advisory.
-ThroughputLeg time_throughput(int n, int runs) {
-  {
-    adversary::McInstance warm = make_wide_weakener(999, n, kThroughputK);
-    sim::UniformAdversary adv(999);
-    (void)warm.world->run(adv);
-  }
-  ThroughputLeg leg;
-  const double t0 = now_ms();
-  for (int i = 0; i < runs; ++i) {
-    adversary::McInstance inst = make_wide_weakener(
-        static_cast<std::uint64_t>(i) * 2 + 1, n, kThroughputK);
-    sim::UniformAdversary adv(static_cast<std::uint64_t>(i) * 2 + 2);
-    const sim::RunResult res = inst.world->run(adv);
-    BLUNT_ASSERT(res.status == sim::RunStatus::kCompleted,
-                 "n_sweep throughput run did not complete at n=" << n);
-    leg.steps += res.steps;
-  }
-  leg.wall_ms = now_ms() - t0;
-  return leg;
 }
 
 int finalize(obs::BenchReport& report, const Accumulator& acc,
@@ -210,36 +132,13 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
                        /*prob_lin=*/1.0, /*prob_atomic=*/0.5, bad.mean());
   }
 
-  // Throughput legs: the overhaul's frontier numbers. Exact step totals
-  // gate regressions; steps/sec is advisory wall clock for the CI release
-  // job's before/after ratio.
-  print_header("throughput (weakener ABD^2, incremental enabled-index)");
-  for (const auto& [n, runs] :
-       {std::pair<int, int>{256, kThroughputRunsN256},
-        std::pair<int, int>{1000, kThroughputRunsN1000}}) {
-    const ThroughputLeg leg = time_throughput(n, runs);
-    const double steps_per_sec =
-        leg.wall_ms > 0.0
-            ? static_cast<double>(leg.steps) / (leg.wall_ms / 1000.0)
-            : 0.0;
-    std::printf("  n=%-5d %8lld steps  %8.1f ms  %12.0f steps/sec\n", n,
-                static_cast<long long>(leg.steps), leg.wall_ms,
-                steps_per_sec);
-    const std::string key = "throughput_n" + std::to_string(n);
-    report.set_metric_int(key + ".steps", leg.steps);
-    report.add_timing_ms(key + ".wall", leg.wall_ms);
-    report.add_timing_ms(key + ".steps_per_sec", steps_per_sec);
-  }
-  print_rule();
-
   report.set_environment_int("trials_per_group", static_cast<int>(
                                  info.trials / kNumGroups));
   report.merge_registry(acc.registry());
   // One instrumented full-detail run at the paper's n = 3 keeps the
   // registry section populated like every other report.
   merge_probe(report, run_instrumented_weakener(/*coin_seed=*/0,
-                                                /*sched_seed=*/0,
-                                                /*k=*/kThroughputK)
+                                                /*sched_seed=*/0, /*k=*/2)
                           .snapshot);
   return 0;
 }
@@ -251,8 +150,7 @@ Experiment make_n_sweep_experiment() {
   e.name = "n_sweep";
   e.description =
       "large-n frontier: weakener termination probability over ABD^k at "
-      "replication widths 8..1024 with per-group Theorem 4.2 watchdogs, "
-      "plus n=256/n=1000 kernel throughput legs";
+      "replication widths 8..1024 with per-group Theorem 4.2 watchdogs";
   e.default_trials = kTrialsPerGroup * kNumGroups;
   e.default_seed = 13;
   e.resolve_trials = [](std::int64_t requested) {

@@ -3,34 +3,30 @@
 //
 // The trial space is grouped by n ∈ {4, 8, ..., 512, 1024}: each group
 // runs weakener-over-ABD^2 trials at that replication width with the
-// deterministic profiler ALWAYS on (profiling is the point of this
-// experiment, so it does not wait for --profile), at TraceDetail::kNone —
-// the Monte-Carlo hot-path configuration. Each trial additionally runs the
-// Wing–Gong checker over the run's history with the same profiler, so the
-// kLinCheck phase and memo counters scale alongside.
+// deterministic profiler always on (profiling is the point of this
+// experiment; it is the one experiment that profiles), at
+// TraceDetail::kNone — the Monte-Carlo hot-path configuration. Each trial
+// additionally runs the Wing–Gong checker over the run's history with the
+// same profiler, so the kLinCheck phase and memo counters scale alongside.
 //
 // The merged per-n ProfileSnapshots ("n4" ... "n1024") yield the headline
 // curves: events scanned per scheduler step (flat O(state changes) since
-// the incremental enabled-index overhaul; the pre-overhaul kernel's linear
-// rescan is frozen in BENCH_scaling_probe_pre_overhaul.json), quorum
-// bookkeeping touches per step, and deliveries per step — all exact
-// integers, bit-identical for any --threads value. Advisory ns curves ride
-// along in timings_ms. The committed baseline
-// bench/baselines/BENCH_scaling_probe.json is the before/after yardstick
-// for any future scheduler-scan optimization.
+// the incremental enabled-index overhaul), quorum bookkeeping touches per
+// step, and deliveries per step — all exact integers, bit-identical for
+// any --threads value. Advisory ns curves ride along in timings_ms. The
+// committed report bench/baselines/BENCH_scaling_probe.json records the
+// curves for comparison by hand; no test gates it, because its allocation
+// tallies depend on the standard-library build.
 #include <cstdio>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "exp/experiment.hpp"
 #include "exp/workloads.hpp"
 #include "lin/check.hpp"
 #include "lin/history.hpp"
-#include "objects/abd.hpp"
-#include "programs/weakener.hpp"
 #include "sim/adversaries.hpp"
-#include "sim/coin.hpp"
 
 namespace blunt::exp {
 namespace {
@@ -43,38 +39,6 @@ constexpr int kPreambleK = 2;
   return "n" + std::to_string(n);
 }
 
-/// Weakener over ABD^2 at replication width n, profiler always on. Unlike
-/// make_abd_weakener (fixed at the paper's 3 processes), the world here
-/// carries one process per ABD pid: pids 0-2 run the weakener, pids 3..n-1
-/// are replica-only hosts (their servers answer in atomic message handlers;
-/// the process itself just retires). Deliveries target every pid < n, so the
-/// world must know all n of them.
-adversary::McInstance make_scaling_weakener(std::uint64_t coin_seed, int n) {
-  adversary::McInstance inst;
-  inst.world = std::make_unique<sim::World>(
-      sim::Config{.metrics = false, .trace_detail = sim::TraceDetail::kNone,
-                  .profile = true},
-      std::make_unique<sim::SeededCoin>(coin_seed));
-  auto r = std::make_shared<objects::AbdRegister>(
-      "R", *inst.world,
-      objects::AbdRegister::Options{.num_processes = n,
-                                    .preamble_iterations = kPreambleK});
-  auto c = std::make_shared<objects::AbdRegister>(
-      "C", *inst.world,
-      objects::AbdRegister::Options{.num_processes = n,
-                                    .initial = sim::Value(std::int64_t{-1}),
-                                    .preamble_iterations = kPreambleK});
-  auto out = std::make_shared<programs::WeakenerOutcome>();
-  programs::install_weakener(*inst.world, *r, *c, *out);
-  for (Pid pid = 3; pid < n; ++pid) {
-    inst.world->add_process("s" + std::to_string(pid),
-                            [](sim::Proc) -> sim::Task<void> { co_return; });
-  }
-  inst.bad = [out] { return out->looped(); };
-  inst.owned = {r, c, out};
-  return inst;
-}
-
 void trial(const TrialContext& ctx, Accumulator& acc) {
   // Trials are grouped by n: indices [g*per_n, (g+1)*per_n) run width
   // kNs[g]. resolve_trials rounds the total to a multiple of the group
@@ -84,7 +48,9 @@ void trial(const TrialContext& ctx, Accumulator& acc) {
   BLUNT_ASSERT(g < kNumGroups, "scaling_probe trial index out of range");
   const int n = kNs[g];
 
-  adversary::McInstance inst = make_scaling_weakener(ctx.seed, n);
+  adversary::McInstance inst =
+      make_abd_weakener(ctx.seed, kPreambleK, n, /*metrics=*/false,
+                        sim::TraceDetail::kNone, /*profile=*/true);
   sim::UniformAdversary adv(ctx.seed ^ 0x9e3779b97f4a7c15ULL);
   const sim::RunResult res = inst.world->run(adv);
   BLUNT_ASSERT(res.status == sim::RunStatus::kCompleted,
@@ -112,7 +78,7 @@ void trial(const TrialContext& ctx, Accumulator& acc) {
 }
 
 int finalize(obs::BenchReport& report, const Accumulator& acc,
-             const RunInfo& info) {
+             const RunInfo&) {
   print_header("Scaling probe: per-subsystem cost per step vs n (ABD^2)");
   print_rule();
   std::printf("%6s %8s %10s %12s %12s %12s %10s\n", "n", "runs", "steps",
@@ -188,7 +154,7 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
   // Full snapshots: profile.* exact metrics, the structured "profile"
   // section, advisory ns timings, and the console cost table. This
   // experiment profiles unconditionally, so the section is always present.
-  report_profile(report, acc, info);
+  report_profile(report, acc);
 
   // One instrumented full-detail run at the paper's n = 3 keeps the registry
   // section populated like every other report.

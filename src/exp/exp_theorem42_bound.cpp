@@ -14,8 +14,8 @@
 // The trial phase is a random-scheduler Monte Carlo of the weakener over
 // ABD² (SplitMix64-derived seeds, the engine's default derivation): a large
 // embarrassingly-parallel sample whose bad-outcome rate must sit inside the
-// k=2 bound. It is this experiment's parallel workload — the timing-sweep
-// speedup CI records runs on it.
+// k=2 bound. Its `timings_ms.engine_trials` with and without --coverage is
+// the same-host measure of the coverage layer's cost.
 #include <cstdio>
 
 #include "common/assert.hpp"

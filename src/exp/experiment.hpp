@@ -40,11 +40,6 @@ struct TrialContext {
   /// accumulator's coverage maps; when clear they MUST run the exact
   /// pre-coverage code path (zero added work on the hot path).
   bool coverage = false;
-  /// Deterministic-profiling opt-in (RunOptions::profile). When set, trial
-  /// bodies that support it build worlds with sim::Config::profile and fold
-  /// the per-trial obs::ProfileSnapshot into the shard accumulator's named
-  /// profiles; when clear they MUST run the exact pre-profiling code path.
-  bool profile = false;
 };
 
 /// Engine-facts finalize may want to report (trial counts, wall clocks).
@@ -55,12 +50,8 @@ struct RunInfo {
   int shard_size = 0;
   int shards_total = 0;
   double wall_ms = 0.0;  // trial phase only, at `threads`
-  /// Wall clock of extra timing-sweep passes, as (threads, ms) pairs.
-  std::vector<std::pair<int, double>> sweep_wall_ms;
   /// Execution coverage was enabled for this run (RunOptions::coverage).
   bool coverage = false;
-  /// Deterministic profiling was enabled for this run (RunOptions::profile).
-  bool profile = false;
   /// Per coverage key, the cumulative unique-fingerprint count after folding
   /// each shard in ascending order — the coverage-growth curve. Computed
   /// inside the engine's fixed merge tree, so it is bit-identical for any
@@ -104,7 +95,7 @@ void register_experiment(Experiment e);
 [[nodiscard]] const Experiment* find_experiment(const std::string& name);
 [[nodiscard]] std::vector<const Experiment*> list_experiments();
 
-/// Registers the 15 builtin experiments (exp_*.cpp). Idempotent.
+/// Registers the 14 builtin experiments (exp_*.cpp). Idempotent.
 void register_builtin_experiments();
 
 }  // namespace blunt::exp

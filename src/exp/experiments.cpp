@@ -8,7 +8,6 @@ Experiment make_abd_k_sweep_experiment();
 Experiment make_chaos_soak_experiment();
 Experiment make_equivalence_soak_experiment();
 Experiment make_snapshot_blunting_experiment();
-Experiment make_hotpath_experiment();
 Experiment make_fuzz_search_experiment();
 Experiment make_scaling_probe_experiment();
 Experiment make_n_sweep_experiment();
@@ -26,7 +25,6 @@ void register_builtin_experiments() {
     register_experiment(make_chaos_soak_experiment());
     register_experiment(make_equivalence_soak_experiment());
     register_experiment(make_snapshot_blunting_experiment());
-    register_experiment(make_hotpath_experiment());
     register_experiment(make_fuzz_search_experiment());
     register_experiment(make_scaling_probe_experiment());
     register_experiment(make_n_sweep_experiment());

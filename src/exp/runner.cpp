@@ -27,17 +27,13 @@ int run_and_report(const Experiment& e, const RunOptions& opts) {
   // Stamped only when on, so coverage-off reports stay byte-identical to
   // pre-coverage ones (the committed baselines never carry this key).
   if (out.info.coverage) report.set_environment_int("engine_coverage", 1);
-  if (out.info.profile) report.set_environment_int("engine_profile", 1);
   report.add_timing_ms("engine_trials", out.info.wall_ms);
-  for (const auto& [threads, ms] : out.info.sweep_wall_ms) {
-    report.add_timing_ms("engine_trials_t" + std::to_string(threads), ms);
-  }
 
   write_report(report);
 
-  // Profiled runs additionally emit a collapsed-stack flamegraph next to the
-  // report: one block per named snapshot, rooted at the snapshot name, ready
-  // for flamegraph.pl / speedscope.
+  // Runs whose trials recorded profiles additionally emit a collapsed-stack
+  // flamegraph next to the report: one block per named snapshot, rooted at
+  // the snapshot name, ready for flamegraph.pl / speedscope.
   if (!out.merged.profiles().empty()) {
     std::string dir = ".";
     if (const char* env = std::getenv("BLUNT_BENCH_DIR")) {

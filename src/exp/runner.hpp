@@ -16,10 +16,11 @@ namespace blunt::exp {
 ///
 /// Engine provenance lands in the report's environment section
 /// (engine_threads, engine_shard_size, engine_seed, engine_trials,
-/// engine_shards_total) and the trial-phase wall clocks in timings_ms
-/// ("engine_trials", plus "engine_trials_t<N>" per timing-sweep thread
-/// count) — all outside the metrics section, so fixed-seed reports differ
-/// across thread counts ONLY in provenance and timing keys.
+/// engine_shards_total) and the trial-phase wall clock in timings_ms
+/// ("engine_trials") — both outside the metrics section, so fixed-seed
+/// reports differ across thread counts ONLY in provenance and timing keys.
+/// A run whose trials recorded profiles (scaling_probe) also writes a
+/// collapsed-stack flamegraph, BENCH_<name>.flame.txt, next to the report.
 int run_and_report(const Experiment& e, const RunOptions& opts);
 
 /// Looks `name` up in the registry (registering builtins first) and runs it.

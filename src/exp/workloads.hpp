@@ -35,8 +35,12 @@ inline constexpr int kWeakenerNumProcesses = 3;
 
 /// Weakener over ABD^k registers, coin seeded for Monte-Carlo trials.
 /// `num_processes` is the ABD replication width n (not the number of
-/// weakener processes, which Algorithm 1 fixes at three). `metrics` turns on
-/// the world's observability registry (reach it via inst.world->metrics()).
+/// weakener processes, which Algorithm 1 fixes at three): pids 0-2 run the
+/// weakener and pids 3..n-1 are replica-only hosts, whose servers answer in
+/// atomic message handlers while the process itself just retires.
+/// Deliveries target every pid < n, so the world must know all n of them.
+/// `metrics` turns on the world's observability registry (reach it via
+/// inst.world->metrics()).
 /// `trace_detail` selects how much of the trace is materialized; executions
 /// are bit-identical across levels (see sim::TraceDetail), so MC trial
 /// bodies that never read the trace pass kNone to stay off the allocator.
@@ -63,6 +67,10 @@ inline adversary::McInstance make_abd_weakener(
                                     .preamble_iterations = k});
   auto out = std::make_shared<programs::WeakenerOutcome>();
   programs::install_weakener(*inst.world, *r, *c, *out);
+  for (Pid pid = 3; pid < num_processes; ++pid) {
+    inst.world->add_process("s" + std::to_string(pid),
+                            [](sim::Proc) -> sim::Task<void> { co_return; });
+  }
   inst.bad = [out] { return out->looped(); };
   inst.owned = {r, c, out};
   return inst;
@@ -275,8 +283,8 @@ inline void report_coverage(obs::BenchReport& report, const Accumulator& acc,
 // -- Deterministic-profiling conventions --------------------------------------
 //
 // Profiled trials fold each world's ProfileSnapshot into the shard
-// accumulator under a name ("mc" for homogeneous Monte-Carlo trials; per-n
-// names like "n16" for the scaling probe). record_profile is the one call a
+// accumulator under a name (per-n names like "n16" for the scaling probe,
+// which profiles every trial). record_profile is the one call a
 // trial body makes after a profiled run; report_profile is the one call
 // finalize makes to publish the merged snapshots: exact counters become
 // `profile.<name>.<counter>` integer metrics (noise-free regression
@@ -301,13 +309,9 @@ inline void record_profile(Accumulator& acc, const std::string& name,
 }
 
 /// Publishes merged profiles and prints the console cost table. No-op when
-/// the run was not profiled (keeps profile-off reports byte-stable).
-inline void report_profile(obs::BenchReport& report, const Accumulator& acc,
-                           const RunInfo& info) {
-  // Gate on recorded snapshots, not info.profile: experiments that profile
-  // unconditionally (scaling_probe) publish either way, while profile-off
-  // runs of opt-in experiments recorded nothing and stay byte-stable.
-  (void)info;
+/// no trial recorded a profile, so reports of unprofiled experiments carry
+/// no profile state.
+inline void report_profile(obs::BenchReport& report, const Accumulator& acc) {
   if (acc.profiles().empty()) return;
   for (const auto& [name, snap] : acc.profiles()) {
     report.set_profile(name, obs::profile_to_json(snap));

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "common/stats.hpp"
@@ -194,6 +195,20 @@ void compare_metrics(const Json& base, const Json& cur, const std::string& bench
         c.evidence = "intervals disjoint, current better: " + detail;
       } else {
         c.evidence = "intervals overlap: " + detail;
+      }
+      out.push_back(std::move(c));
+      continue;
+    }
+    if (bv.is_int() && cv.is_int()) {
+      // A seeded count (steps, runs, states visited): exact, so a move in
+      // either direction is a regression.
+      c.kind = "exact";
+      if (bv.as_int() == cv.as_int()) {
+        c.evidence = "exact count unchanged";
+      } else {
+        c.verdict = Verdict::kRegressed;
+        c.evidence = "exact count moved " + std::to_string(bv.as_int()) +
+                     " -> " + std::to_string(cv.as_int());
       }
       out.push_back(std::move(c));
       continue;

@@ -11,11 +11,13 @@
 //     by exp::set_bernoulli_metric / set_exact_probability). Lower is
 //     better by convention — these are bad-outcome probabilities.
 //   * exact values: `K_trials` = 0 on both sides marks an analytic or
-//     exactly solved value with a degenerate interval, and a `*_exact`
-//     string holds such a value as a rational ("5/8"). Any change to
-//     either, in either direction, is a regression;
-//   * numeric metrics with no interval evidence compare as scalars: drift
-//     of a lower-is-better key is a verdict, any other change is
+//     exactly solved value with a degenerate interval, a `*_exact` string
+//     holds such a value as a rational ("5/8"), and a metric that is a JSON
+//     integer in both reports is a seeded count (steps, runs, states
+//     visited). Any change to any of them, in either direction, is a
+//     regression;
+//   * other numeric metrics with no interval evidence compare as scalars:
+//     drift of a lower-is-better key is a verdict, any other change is
 //     informational; boolean metrics are invariant flags;
 //   * registry counters use relative deltas over a noise floor; message /
 //     step / retransmission counts growing past it is a regression.

@@ -11,8 +11,8 @@
 //     per subsystem, arranged in a fixed hierarchy for flamegraph export.
 //     Timings are advisory exactly like the engine's timings_ms: two runs
 //     of the same work never produce the same nanoseconds, so they are
-//     excluded from every bit-identity contract (the engine's timing-sweep
-//     assert compares ns-zeroed dumps).
+//     excluded from every bit-identity contract (the determinism tests
+//     compare ns-zeroed dumps).
 //
 // This header is deliberately header-only, exactly like obs/metrics.hpp:
 // blunt_sim instruments itself with it without a sim -> obs link edge. The
@@ -176,8 +176,7 @@ struct ProfileSnapshot {
   }
 
   /// Drops the advisory wall-clock component, keeping calls and counters.
-  /// The engine's bit-identity contracts (--timing-sweep, the determinism
-  /// tests) compare snapshots through this.
+  /// The engine's bit-identity tests compare snapshots through this.
   void zero_advisory_ns() {
     for (PhaseStat& s : phases) s.ns = 0;
   }

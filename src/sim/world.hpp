@@ -74,9 +74,9 @@ struct Config {
   /// Deterministic profiling (obs/prof.hpp): when set, the World owns an
   /// obs::Profiler that attributes wall time per subsystem phase and keeps
   /// exact work counters (events scanned, deliveries, alloc bytes, ...).
-  /// Purely observational — schedules, coins, and metrics are unchanged —
-  /// and off by default, where the step-path cost is one null check per
-  /// site (the hotpath experiment gates this).
+  /// Purely observational — schedules, coins, and metrics are unchanged
+  /// (hotpath_determinism_test checks this at every trace level) — and off
+  /// by default, where the step-path cost is one null check per site.
   bool profile = false;
   /// Debug oracle for the incremental enabled-index: every enabled_events()
   /// call additionally rebuilds the list with the pre-index linear rescan

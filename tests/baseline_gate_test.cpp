@@ -96,6 +96,12 @@ TEST(BaselineGate, EquivalenceSoakMatchesBaseline) {
   expect_matches_baseline("equivalence_soak");
 }
 
+TEST(BaselineGate, NSweepMatchesBaseline) {
+  // Per-group step and run counts are exact; the bad probabilities are
+  // Wilson-compared and the headline n1024_k2 group feeds the watchdog.
+  expect_matches_baseline("n_sweep");
+}
+
 // The finalize-only experiments: exact solves, scripted adversaries and
 // serial sweeps, each run once in finalize.
 TEST(BaselineGate, AtomicBaselineMatchesBaseline) {

@@ -139,6 +139,41 @@ TEST(Compare, ExactRationalStringChangeRegresses) {
   EXPECT_FALSE(same.has_regression());
 }
 
+/// A seeded count written as a JSON integer (a step total, a run count) is
+/// exact: it regresses when it moves either way, whatever its name. A
+/// double without interval evidence stays informational.
+TEST(Compare, IntegerMetricChangeRegresses) {
+  const auto counted = [](std::int64_t steps, double ratio) {
+    BenchReport r("synthetic");
+    r.set_metric_int("n8_k1.steps", steps);
+    r.set_metric("steps_per_run", ratio);
+    r.add_timing_ms("total", 1.0);
+    return r.to_json();
+  };
+  for (const std::int64_t moved : {1001, 999}) {
+    const CompareResult r =
+        compare_reports(counted(1000, 2.5), counted(moved, 2.5));
+    const MetricComparison* c = find_metric(r, "metrics.n8_k1.steps", "exact");
+    ASSERT_NE(c, nullptr) << moved;
+    EXPECT_EQ(c->verdict, Verdict::kRegressed) << moved;
+    EXPECT_NE(c->evidence.find("1000 -> " + std::to_string(moved)),
+              std::string::npos)
+        << c->evidence;
+    EXPECT_TRUE(r.has_regression());
+  }
+
+  const CompareResult same =
+      compare_reports(counted(1000, 2.5), counted(1000, 2.75));
+  const MetricComparison* c =
+      find_metric(same, "metrics.n8_k1.steps", "exact");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->verdict, Verdict::kNeutral);
+  c = find_metric(same, "metrics.steps_per_run", "scalar");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->verdict, Verdict::kNeutral);
+  EXPECT_FALSE(same.has_regression());
+}
+
 TEST(Compare, CounterDeltasUseRelativeThresholdWithFloor) {
   const auto counted = [](std::int64_t msgs) {
     BenchReport r("synthetic");

@@ -1,4 +1,5 @@
-// Bit-identity of the simulation kernel across trace-detail levels.
+// Bit-identity of the simulation kernel across trace-detail levels and
+// instrumentation.
 //
 // The zero-allocation scheduler refactor made `what` formatting and trace
 // entry storage optional (sim::TraceDetail). The contract is that the
@@ -7,13 +8,16 @@
 // level; only the materialized trace text differs. These tests hold two
 // workload families (the ABD^k weakener and the fault-injected chaos world)
 // to golden fingerprints captured from the pre-refactor seed kernel, at all
-// three detail levels.
+// three detail levels, with the deterministic profiler (sim::Config::profile)
+// off and on. They also pin the fixed-seed step totals that perfbench's
+// fidelity self-test checks (perfbench/sim_workloads.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/workloads.hpp"
@@ -22,6 +26,7 @@
 #include "lin/check.hpp"
 #include "lin/history.hpp"
 #include "objects/abd.hpp"
+#include "obs/prof.hpp"
 #include "sim/adversaries.hpp"
 #include "sim/coin.hpp"
 #include "sim/world.hpp"
@@ -75,7 +80,19 @@ struct Fingerprint {
   std::size_t entries_n = 0;
   std::uint64_t trace_fnv = 0;
   std::map<std::string, std::int64_t> counters;
+  std::int64_t profiled_steps = -1;  // the profiler's steps_executed, if on
 };
+
+void fill_instrumentation(Fingerprint& f, const sim::World& w) {
+  f.trace_size = w.trace().size();
+  f.entries_n = w.trace().entries().size();
+  f.trace_fnv = fnv1a(w.trace().to_string());
+  f.counters = w.metrics()->snapshot().counters;
+  if (w.profiler() != nullptr) {
+    f.profiled_steps =
+        w.profiler()->snapshot().counter(obs::ProfCounter::kStepsExecuted);
+  }
+}
 
 void expect_same_execution(const Fingerprint& a, const Fingerprint& b,
                            const char* label) {
@@ -89,9 +106,9 @@ void expect_same_execution(const Fingerprint& a, const Fingerprint& b,
 }
 
 Fingerprint run_weakener(sim::TraceDetail d, int k, std::uint64_t coin_seed,
-                         std::uint64_t sched_seed) {
-  adversary::McInstance inst =
-      exp::make_abd_weakener(coin_seed, k, 3, /*metrics=*/true, d);
+                         std::uint64_t sched_seed, bool profile = false) {
+  adversary::McInstance inst = exp::make_abd_weakener(
+      coin_seed, k, 3, /*metrics=*/true, d, profile);
   sim::UniformAdversary uni(sched_seed);
   HashingAdversary adv(uni);
   const sim::RunResult res = inst.world->run(adv);
@@ -100,10 +117,7 @@ Fingerprint run_weakener(sim::TraceDetail d, int k, std::uint64_t coin_seed,
   f.steps = res.steps;
   f.events_hash = adv.h_;
   f.events_n = adv.count_;
-  f.trace_size = inst.world->trace().size();
-  f.entries_n = inst.world->trace().entries().size();
-  f.trace_fnv = fnv1a(inst.world->trace().to_string());
-  f.counters = inst.world->metrics()->snapshot().counters;
+  fill_instrumentation(f, *inst.world);
   return f;
 }
 
@@ -111,13 +125,14 @@ Fingerprint run_weakener(sim::TraceDetail d, int k, std::uint64_t coin_seed,
 /// retransmission, every process writes pid+1 then reads, ChaosAdversary
 /// over a uniform scheduler. Also checks linearizability of the outcome.
 Fingerprint run_chaos(sim::TraceDetail d, std::uint64_t seed, int k,
-                      bool* lin_ok) {
+                      bool* lin_ok, bool profile = false) {
   const fault::FaultPlan plan = fault::random_plan(
       fault::mix64(seed * 2 + static_cast<std::uint64_t>(k)), {});
   auto w = std::make_unique<sim::World>(
       sim::Config{.max_crashes = static_cast<int>(plan.crashes.size()),
                   .metrics = true,
-                  .trace_detail = d},
+                  .trace_detail = d,
+                  .profile = profile},
       std::make_unique<sim::SeededCoin>(seed));
   objects::AbdRegister reg(
       "R", *w,
@@ -145,10 +160,7 @@ Fingerprint run_chaos(sim::TraceDetail d, std::uint64_t seed, int k,
   f.steps = res.steps;
   f.events_hash = adv.h_;
   f.events_n = adv.count_;
-  f.trace_size = w->trace().size();
-  f.entries_n = w->trace().entries().size();
-  f.trace_fnv = fnv1a(w->trace().to_string());
-  f.counters = w->metrics()->snapshot().counters;
+  fill_instrumentation(f, *w);
   return f;
 }
 
@@ -243,6 +255,68 @@ TEST(HotpathDeterminism, ChaosGoldenSeedKernelValues) {
   EXPECT_EQ(c21.events_hash, 12226323111211670161ULL);
   EXPECT_EQ(c21.entries_n, 894u);
   EXPECT_EQ(c21.trace_fnv, 16577753417419641436ULL);
+}
+
+/// Profiling is observational: at every trace level, the golden weakener
+/// and chaos runs execute the same schedule (status, steps, schedule hash,
+/// and every metrics counter, coin draws included) with the profiler on as
+/// off, and the profiler counts every step.
+TEST(HotpathDeterminism, ProfilingLeavesGoldenRunsUnchanged) {
+  const auto expect_unperturbed = [](const Fingerprint& off,
+                                     const Fingerprint& on, const char* run) {
+    SCOPED_TRACE(run);
+    expect_same_execution(off, on, "profile on vs off");
+    EXPECT_EQ(on.entries_n, off.entries_n);
+    EXPECT_EQ(on.trace_fnv, off.trace_fnv);
+    EXPECT_EQ(off.profiled_steps, -1);
+    EXPECT_EQ(on.profiled_steps, on.steps);
+  };
+  for (sim::TraceDetail d : kLevels) {
+    SCOPED_TRACE(static_cast<int>(d));
+    expect_unperturbed(run_weakener(d, 1, 1, 2),
+                       run_weakener(d, 1, 1, 2, /*profile=*/true),
+                       "weakener k=1");
+    expect_unperturbed(run_weakener(d, 2, 3, 4),
+                       run_weakener(d, 2, 3, 4, /*profile=*/true),
+                       "weakener k=2");
+    for (const auto& [seed, k] : {std::pair<std::uint64_t, int>{11, 1},
+                                  std::pair<std::uint64_t, int>{21, 2}}) {
+      bool lin_off = false;
+      bool lin_on = false;
+      const Fingerprint off = run_chaos(d, seed, k, &lin_off);
+      const Fingerprint on = run_chaos(d, seed, k, &lin_on, /*profile=*/true);
+      EXPECT_TRUE(lin_off);
+      EXPECT_EQ(lin_on, lin_off);
+      expect_unperturbed(off, on, "chaos");
+    }
+  }
+}
+
+/// Total steps of `runs` weakener-over-ABD^k runs at replication width n,
+/// run i with coin seed 2i+1 and scheduler seed 2i+2, at kNone (the
+/// Monte-Carlo trial configuration). Every run must complete.
+std::int64_t fixed_seed_steps(int k, int n, int runs) {
+  std::int64_t steps = 0;
+  for (int i = 0; i < runs; ++i) {
+    const auto coin = static_cast<std::uint64_t>(i) * 2 + 1;
+    adversary::McInstance inst = exp::make_abd_weakener(
+        coin, k, n, /*metrics=*/false, sim::TraceDetail::kNone);
+    sim::UniformAdversary adv(coin + 1);
+    const sim::RunResult res = inst.world->run(adv);
+    EXPECT_EQ(res.status, sim::RunStatus::kCompleted)
+        << "k=" << k << " n=" << n << " coin seed " << coin;
+    steps += res.steps;
+  }
+  return steps;
+}
+
+/// The exact work perfbench's fidelity self-test mirrors (mc_paper's
+/// steps_total_k1/k2, wide_n's throughput_n1000.steps): a change to any
+/// schedule moves these totals.
+TEST(HotpathDeterminism, FixedSeedStepTotalsArePinned) {
+  EXPECT_EQ(fixed_seed_steps(/*k=*/1, /*n=*/3, /*runs=*/3000), 297292);
+  EXPECT_EQ(fixed_seed_steps(/*k=*/2, /*n=*/3, /*runs=*/1500), 229722);
+  EXPECT_EQ(fixed_seed_steps(/*k=*/2, /*n=*/1000, /*runs=*/2), 73317);
 }
 
 }  // namespace

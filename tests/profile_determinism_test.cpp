@@ -1,7 +1,7 @@
 // Profiling under the engine's determinism contract: merged exact profile
 // counters must be bit-identical for every --threads value
 // (Accumulator::canonical_dump zeroes the advisory wall-clock so only exact
-// state is compared), profile-off runs must carry no profile state at all,
+// state is compared), unprofiled worlds must leave no profile state at all,
 // and profiling must never perturb trial results.
 #include "exp/engine.hpp"
 
@@ -28,7 +28,6 @@ Experiment make_profile_synthetic(std::int64_t trials = 333) {
   e.seed_derivation = SeedDerivation::kSplitMix64;
   e.trial = [](const TrialContext& ctx, Accumulator& acc) {
     acc.counter("n") += 1;
-    if (!ctx.profile) return;
     obs::Profiler prof;
     {
       obs::ScopedPhase run(&prof, obs::Phase::kRun);
@@ -43,18 +42,38 @@ Experiment make_profile_synthetic(std::int64_t trials = 333) {
   return e;
 }
 
-RunOptions opts_with(int threads, bool profile, int shard_size = 16) {
+/// The weakener over ABD² at n = 3, every world built with or without
+/// sim::Config::profile; each trial folds its outcome, its step count and
+/// (when the world has a profiler) its profile.
+Experiment make_weakener_trials(bool profile) {
+  Experiment e;
+  e.name = "profile_weakener";
+  e.description = "weakener trials, profiled or not";
+  e.default_trials = 64;
+  e.default_seed = 5;
+  e.trial = [profile](const TrialContext& ctx, Accumulator& acc) {
+    adversary::McInstance inst =
+        make_abd_weakener(ctx.seed, /*k=*/2, kWeakenerNumProcesses,
+                          /*metrics=*/false, sim::TraceDetail::kNone, profile);
+    sim::UniformAdversary adv(ctx.seed ^ 0x9e3779b97f4a7c15ULL);
+    const sim::RunResult res = inst.world->run(adv);
+    acc.tally("bad").add(inst.bad());
+    acc.counter("steps") += res.steps;
+    record_profile(acc, "mc", *inst.world);
+  };
+  return e;
+}
+
+RunOptions opts_with(int threads, int shard_size = 16) {
   RunOptions o;
   o.threads = threads;
-  o.profile = profile;
   o.shard_size = shard_size;
   return o;
 }
 
 TEST(ProfileDeterminism, ExactCountersIdenticalAcrossThreadCounts) {
   const Experiment e = make_profile_synthetic();
-  const RunOutput ref = run_trials(e, opts_with(1, /*profile=*/true));
-  ASSERT_TRUE(ref.info.profile);
+  const RunOutput ref = run_trials(e, opts_with(1));
   ASSERT_FALSE(ref.merged.profiles().empty());
   EXPECT_GT(ref.merged.profile("all").counter(obs::ProfCounter::kEventsScanned),
             0);
@@ -65,7 +84,7 @@ TEST(ProfileDeterminism, ExactCountersIdenticalAcrossThreadCounts) {
   EXPECT_GT(ref.merged.profile("all").phase(obs::Phase::kRun).ns, 0);
   const std::string want = ref.merged.canonical_dump();
   for (const int threads : {2, 3, 8}) {
-    const RunOutput out = run_trials(e, opts_with(threads, /*profile=*/true));
+    const RunOutput out = run_trials(e, opts_with(threads));
     EXPECT_EQ(out.merged.canonical_dump(), want) << threads << " threads";
   }
 }
@@ -75,10 +94,10 @@ TEST(ProfileDeterminism, ScalingProbeIdenticalAcrossThreadCounts) {
   const Experiment* e = find_experiment("scaling_probe");
   ASSERT_NE(e, nullptr);
   // 14 trials -> 2 per n group; shard size 2 -> 7 shards to fold.
-  RunOptions base = opts_with(1, /*profile=*/false, /*shard_size=*/2);
+  RunOptions base = opts_with(1, /*shard_size=*/2);
   base.trials = 14;
   const RunOutput ref = run_trials(*e, base);
-  // scaling_probe profiles unconditionally — no --profile needed.
+  // scaling_probe profiles every trial.
   ASSERT_FALSE(ref.merged.profiles().empty());
   EXPECT_GT(
       ref.merged.profile("n4").counter(obs::ProfCounter::kEventsScanned), 0);
@@ -92,15 +111,22 @@ TEST(ProfileDeterminism, ScalingProbeIdenticalAcrossThreadCounts) {
 }
 
 TEST(ProfileDeterminism, ProfileOffCarriesNoStateAndProfilingDoesNotPerturb) {
-  const Experiment e = make_profile_synthetic();
-  const RunOutput off = run_trials(e, opts_with(2, /*profile=*/false));
-  EXPECT_FALSE(off.info.profile);
+  const RunOutput off = run_trials(make_weakener_trials(false), opts_with(2));
+  // record_profile is a no-op on a world without a profiler, so the merged
+  // accumulator, and its JSON, carry no profile state at all.
   EXPECT_TRUE(off.merged.profiles().empty());
-  // to_json of a profile-off run has no "profile" key at all.
   EXPECT_EQ(off.merged.to_json().find("profile"), nullptr);
+
+  const RunOutput on = run_trials(make_weakener_trials(true), opts_with(2));
+  const std::int64_t steps = on.merged.counter_or("steps");
+  EXPECT_GT(steps, 0);
+  EXPECT_EQ(on.merged.profile("mc").counter(obs::ProfCounter::kStepsExecuted),
+            steps);
   // Profiling changes nothing about the trial results themselves.
-  const RunOutput on = run_trials(e, opts_with(2, /*profile=*/true));
-  EXPECT_EQ(off.merged.counter_or("n"), on.merged.counter_or("n"));
+  EXPECT_EQ(off.merged.counter_or("steps"), steps);
+  EXPECT_EQ(off.merged.tally("bad").successes(),
+            on.merged.tally("bad").successes());
+  EXPECT_EQ(off.merged.tally("bad").trials(), 64);
 }
 
 }  // namespace

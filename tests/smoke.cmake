@@ -5,9 +5,9 @@
 #            threads leaves byte-identical compacted corpora, finds and
 #            shrinks a violation with a ScriptedAdversary repro, and
 #            blunt_corpus_replay reproduces every corpus violation.
-#   profile  BLUNT_EXP: a --profile scaling_probe report carries the n4 and
-#            n256 snapshots and the engine_profile stamp, next to a flamegraph
-#            that attributes time to enabled_scan.
+#   profile  BLUNT_EXP: a scaling_probe report (it profiles every trial)
+#            carries the n4 and n256 snapshots, next to a flamegraph that
+#            attributes time to enabled_scan.
 #   example  EXAMPLE [OUTPUT]: the example exits 0 and, when OUTPUT is set,
 #            leaves that file non-empty.
 #
@@ -71,14 +71,10 @@ if(CASE STREQUAL "fuzz")
   run("${REPLAY}" "${corpus}" --verbose)
 elseif(CASE STREQUAL "profile")
   run("${BLUNT_EXP}" run scaling_probe --trials 14 --shard-size 2 --threads 2
-      --profile --bench-dir "${DIR}")
+      --bench-dir "${DIR}")
   set(report "${DIR}/BENCH_scaling_probe.json")
   json_get(n4 "${report}" profile n4)
   json_get(n256 "${report}" profile n256)
-  json_get(stamp "${report}" environment engine_profile)
-  if(NOT stamp EQUAL 1)
-    message(FATAL_ERROR "environment.engine_profile is '${stamp}', want 1")
-  endif()
   set(flame "${DIR}/BENCH_scaling_probe.flame.txt")
   expect_nonempty("${flame}")
   file(STRINGS "${flame}" scans REGEX "enabled_scan")

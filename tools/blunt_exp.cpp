@@ -2,37 +2,26 @@
 //
 //   blunt_exp --list
 //   blunt_exp run <experiment> [--threads N] [--trials N] [--seed S]
-//                 [--shard-size N] [--timing-sweep T1,T2,...]
-//                 [--bench-dir DIR] [--coverage] [--profile]
+//                 [--shard-size N] [--bench-dir DIR] [--coverage]
 //
 // Runs a registered experiment on the deterministic parallel engine
 // (src/exp): trials shard across a work-stealing pool, per-trial seeds
 // derive purely from (seed, trial index), and the merged result — and hence
 // the report's metrics section — is bit-identical for every --threads value.
-// Reports are the standard schema-v1 BENCH_<name>.json files, exactly like
-// the bench binaries they replace. A run that was killed is recovered by
-// running it again.
-//
-// --timing-sweep re-runs the trial phase at extra thread counts, records
-// each wall clock in timings_ms, and asserts the merged results are
-// bit-identical — the engine's built-in determinism self-check.
+// Reports are the standard schema-v1 BENCH_<name>.json files. A run that
+// was killed is recovered by running it again.
 //
 // --coverage turns on execution-coverage fingerprinting (schedule hashes,
 // interleaving n-grams, object histories — see obs/fingerprint.hpp): the
 // report gains coverage.* metrics and the shard-indexed coverage-growth
 // curve, all bit-identical for every --threads value.
 //
-// --profile turns on the deterministic profiler (obs/prof.hpp): trial worlds
-// attribute work to per-subsystem phases and exact counters, the report
-// gains profile.* metrics plus the structured "profile" section, and a
-// collapsed-stack flamegraph lands next to the report as
-// BENCH_<name>.flame.txt. Exact profile counters are bit-identical for every
-// --threads value; the nanosecond timings are advisory wall-clock.
+// Any other flag is refused with exit 2. Wall-clock speed is measured by
+// perfbench/ as a same-host A/B, not by this runner.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "exp/parse.hpp"
 #include "exp/runner.hpp"
@@ -58,8 +47,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --list\n"
       "       %s run <experiment> [--threads N] [--trials N] [--seed S]\n"
-      "           [--shard-size N] [--timing-sweep T1,T2,...]\n"
-      "           [--bench-dir DIR] [--coverage] [--profile]\n",
+      "           [--shard-size N] [--bench-dir DIR] [--coverage]\n",
       argv0, argv0);
   return 2;
 }
@@ -75,20 +63,6 @@ T parse_count(const std::string& flag, const std::string& text) {
     std::exit(2);
   }
   return v;
-}
-
-/// Comma-separated thread counts; non-positive entries are dropped.
-std::vector<int> parse_thread_list(const std::string& arg) {
-  std::vector<int> out;
-  std::size_t pos = 0;
-  for (;;) {
-    const std::size_t comma = arg.find(',', pos);
-    const int t =
-        parse_number<int>("--timing-sweep", arg.substr(pos, comma - pos));
-    if (t > 0) out.push_back(t);
-    if (comma == std::string::npos) return out;
-    pos = comma + 1;
-  }
 }
 
 }  // namespace
@@ -122,14 +96,10 @@ int main(int argc, char** argv) {
       opts.seed = parse_number<std::uint64_t>(flag, value());
     } else if (flag == "--shard-size") {
       opts.shard_size = parse_count<int>(flag, value());
-    } else if (flag == "--timing-sweep") {
-      opts.timing_sweep = parse_thread_list(value());
     } else if (flag == "--bench-dir") {
       setenv("BLUNT_BENCH_DIR", value(), /*overwrite=*/1);
     } else if (flag == "--coverage") {
       opts.coverage = true;
-    } else if (flag == "--profile") {
-      opts.profile = true;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return usage(argv[0]);
