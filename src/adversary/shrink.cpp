@@ -1,11 +1,12 @@
 #include "adversary/shrink.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <sstream>
 
 #include "common/assert.hpp"
 
 namespace blunt::adversary {
+namespace {
 
 EventDescriptor describe(const sim::Event& e) {
   return {e.kind, e.pid, e.source_id, std::string(e.what)};
@@ -15,6 +16,8 @@ bool matches(const EventDescriptor& d, const sim::Event& e) {
   return e.kind == d.kind && e.pid == d.pid && e.source_id == d.source_id &&
          e.what == d.what;
 }
+
+}  // namespace
 
 std::string to_string(const EventDescriptor& d) {
   std::ostringstream os;
@@ -88,47 +91,15 @@ std::vector<EventDescriptor> without(const std::vector<EventDescriptor>& all,
 std::vector<EventDescriptor> shrink_schedule(
     const std::function<bool(const std::vector<EventDescriptor>&)>& fails,
     std::vector<EventDescriptor> schedule) {
-  return shrink_schedule(fails, std::move(schedule), ShrinkOptions{});
-}
-
-std::vector<EventDescriptor> shrink_schedule(
-    const std::function<bool(const std::vector<EventDescriptor>&)>& fails,
-    std::vector<EventDescriptor> schedule, const ShrinkOptions& opts) {
-  // Budget accounting wraps the predicate: every call (including the entry
-  // check) draws from max_evals; the wall clock is sampled alongside. When
-  // either budget trips, evaluate() reports exhaustion and the main loop
-  // returns the best still-failing schedule found so far.
-  long evals = 0;
-  bool exhausted = false;
-  const std::chrono::steady_clock::time_point t0 =
-      std::chrono::steady_clock::now();
-  const auto evaluate = [&](const std::vector<EventDescriptor>& s) {
-    if (opts.max_evals > 0 && evals >= opts.max_evals) {
-      exhausted = true;
-      return false;
-    }
-    if (opts.max_wall_ms > 0) {
-      const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-      if (ms >= opts.max_wall_ms) {
-        exhausted = true;
-        return false;
-      }
-    }
-    ++evals;
-    return fails(s);
-  };
-  BLUNT_ASSERT(evaluate(schedule), "shrink_schedule: input does not fail");
+  BLUNT_ASSERT(fails(schedule), "shrink_schedule: input does not fail");
   // ddmin with complement-only reduction: repeatedly try to delete chunks of
   // size n/granularity; on success restart at coarse granularity, otherwise
   // refine until granularity == n (single-event deletions). Terminates with
-  // a 1-minimal sequence (or the current best when the budget runs out).
-  // Chunks are probed left to right, so tie-breaking between equally viable
-  // deletions is deterministic: the lowest begin index wins.
+  // a 1-minimal sequence. Chunks are probed left to right, so tie-breaking
+  // between equally viable deletions is deterministic: the lowest begin
+  // index wins.
   std::size_t granularity = 2;
-  while (!exhausted && schedule.size() >= 2 &&
-         granularity <= schedule.size()) {
+  while (schedule.size() >= 2 && granularity <= schedule.size()) {
     const std::size_t chunk =
         (schedule.size() + granularity - 1) / granularity;
     bool reduced = false;
@@ -136,23 +107,22 @@ std::vector<EventDescriptor> shrink_schedule(
       const std::size_t end = std::min(begin + chunk, schedule.size());
       std::vector<EventDescriptor> candidate = without(schedule, begin, end);
       if (candidate.empty()) continue;  // keep at least one event
-      if (evaluate(candidate)) {
+      if (fails(candidate)) {
         schedule = std::move(candidate);
         granularity = std::max<std::size_t>(2, granularity - 1);
         reduced = true;
         break;
       }
-      if (exhausted) break;
     }
     if (!reduced) {
-      if (exhausted || granularity >= schedule.size()) break;
+      if (granularity >= schedule.size()) break;
       granularity = std::min(schedule.size(), granularity * 2);
     }
   }
   // Try dropping the last remaining event too (ddmin above never empties).
-  if (!exhausted && schedule.size() == 1) {
+  if (schedule.size() == 1) {
     std::vector<EventDescriptor> empty;
-    if (evaluate(empty)) schedule.clear();
+    if (fails(empty)) schedule.clear();
   }
   return schedule;
 }

@@ -45,8 +45,6 @@ struct EventDescriptor {
                          const EventDescriptor&) = default;
 };
 
-[[nodiscard]] EventDescriptor describe(const sim::Event& e);
-[[nodiscard]] bool matches(const EventDescriptor& d, const sim::Event& e);
 [[nodiscard]] std::string to_string(const EventDescriptor& d);
 
 /// Wraps an inner adversary and records every event it chooses.
@@ -68,13 +66,13 @@ class RecordingAdversary final : public sim::Adversary {
 
 /// Replays a descriptor schedule (see file comment for skip/fallback rules).
 ///
-/// Hardened against arbitrary (fuzzer-mutated, spliced, truncated, or
-/// hand-corrupted) schedules: a descriptor that never matches is skipped, an
-/// exhausted or fully-unmatchable schedule falls back to the first enabled
-/// event, and an (out-of-contract) empty enabled set is answered with 0
-/// rather than indexed. Every such deviation increments repairs(), never
-/// asserts — a malformed schedule yields a deterministic execution plus a
-/// repair count, which fuzzing surfaces as the `fuzz.replay_repair` counter.
+/// Hardened against arbitrary (ddmin-reduced, truncated or hand-corrupted)
+/// schedules: a descriptor that never matches is skipped, an exhausted or
+/// fully-unmatchable schedule falls back to the first enabled event, and an
+/// (out-of-contract) empty enabled set is answered with 0 rather than
+/// indexed. Each such deviation is counted in skipped() or overflow_steps(),
+/// never asserted, so a malformed schedule still yields a deterministic
+/// execution.
 class EventReplayAdversary final : public sim::Adversary {
  public:
   explicit EventReplayAdversary(std::vector<EventDescriptor> schedule)
@@ -87,28 +85,12 @@ class EventReplayAdversary final : public sim::Adversary {
   [[nodiscard]] int skipped() const { return skipped_; }
   /// Steps taken after the schedule ran out (first-enabled fallback).
   [[nodiscard]] int overflow_steps() const { return overflow_steps_; }
-  /// Total deviations from verbatim replay: skipped descriptors plus
-  /// fallback steps. 0 iff the schedule replayed exactly.
-  [[nodiscard]] long repairs() const { return skipped_ + overflow_steps_; }
 
  private:
   std::vector<EventDescriptor> schedule_;
   std::size_t pos_ = 0;
   int skipped_ = 0;
   int overflow_steps_ = 0;
-};
-
-/// Budget knobs for shrink_schedule. Defaults reproduce the unbounded
-/// behavior. With a budget, the shrinker returns the best (still-failing)
-/// schedule found when the budget runs out — valid, possibly not 1-minimal.
-struct ShrinkOptions {
-  /// Max calls to `fails` (including the entry check); 0 = unbounded. The
-  /// deterministic budget: same predicate + schedule + budget, same result.
-  long max_evals = 0;
-  /// Wall-clock cutoff in milliseconds; 0 = unbounded. An escape hatch for
-  /// interactive use on 10k-event schedules — inherently non-deterministic,
-  /// so reproducible pipelines (the fuzzer, tests) use max_evals instead.
-  long max_wall_ms = 0;
 };
 
 /// ddmin: returns a 1-minimal sub-sequence of `schedule` on which `fails`
@@ -120,11 +102,6 @@ struct ShrinkOptions {
 [[nodiscard]] std::vector<EventDescriptor> shrink_schedule(
     const std::function<bool(const std::vector<EventDescriptor>&)>& fails,
     std::vector<EventDescriptor> schedule);
-
-/// Budgeted overload; see ShrinkOptions.
-[[nodiscard]] std::vector<EventDescriptor> shrink_schedule(
-    const std::function<bool(const std::vector<EventDescriptor>&)>& fails,
-    std::vector<EventDescriptor> schedule, const ShrinkOptions& opts);
 
 /// Pretty-prints a (minimal) schedule as a compilable ScriptedAdversary
 /// program — the shape a human pastes into a regression test.

@@ -162,8 +162,7 @@ bool lin_ok(const sim::World& w) {
 // fingerprints on the side — the run itself is identical either way.
 /// Every plan that reaches an execution passes full structural validation
 /// (FaultPlan::validate) — the generator is quorum-preserving by
-/// construction, and this hard check keeps it honest as knobs evolve. The
-/// fuzzer's plan mutator goes through the same gate.
+/// construction, and this hard check keeps it honest as knobs evolve.
 fault::FaultPlan validated(fault::FaultPlan plan) {
   const std::string err = plan.validate();
   BLUNT_ASSERT(err.empty(), "invalid fault plan: " << err << " in "

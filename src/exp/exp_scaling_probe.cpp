@@ -145,8 +145,6 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
     row["deliveries_per_step"] = obs::Json(
         static_cast<double>(snap.counter(obs::ProfCounter::kDeliveries)) /
         den);
-    row["enabled_scan_ns_per_step"] = obs::Json(
-        static_cast<double>(snap.phase(obs::Phase::kEnabledScan).ns) / den);
     rows.emplace_back(std::move(row));
   }
   report.set_metric_json("scaling_rows", obs::Json(std::move(rows)));

@@ -95,7 +95,7 @@ void register_experiment(Experiment e);
 [[nodiscard]] const Experiment* find_experiment(const std::string& name);
 [[nodiscard]] std::vector<const Experiment*> list_experiments();
 
-/// Registers the 14 builtin experiments (exp_*.cpp). Idempotent.
+/// Registers the 13 builtin experiments (exp_*.cpp). Idempotent.
 void register_builtin_experiments();
 
 }  // namespace blunt::exp

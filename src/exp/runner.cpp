@@ -62,9 +62,8 @@ int run_registered(const std::string& name, const RunOptions& opts) {
                  name.c_str());
     return 2;
   }
-  // The one place a failed run is reported: a report or corpus file that
-  // cannot be written (the message names its path), or any other error a
-  // trial raised.
+  // The one place a failed run is reported: a report that cannot be written
+  // (the message names its path), or any other error a trial raised.
   try {
     return run_and_report(*e, opts);
   } catch (const std::exception& ex) {

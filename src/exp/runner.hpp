@@ -25,8 +25,8 @@ int run_and_report(const Experiment& e, const RunOptions& opts);
 
 /// Looks `name` up in the registry (registering builtins first) and runs it.
 /// Unknown names print to stderr and return 2; a run that throws (a trial
-/// error, or a report or corpus file that cannot be written) prints the
-/// error, which names the file, and returns 1.
+/// error, or a report that cannot be written) prints the error and returns
+/// 1.
 int run_registered(const std::string& name, const RunOptions& opts);
 
 }  // namespace blunt::exp

@@ -89,9 +89,9 @@ struct FaultPlan {
   ///     within [0, num_processes)) with heal_step > open_step >= 0;
   ///   * crashes name distinct in-range pids at non-negative steps, sorted
   ///     by (at_step, pid), and fewer than a majority crash.
-  /// Both the chaos soak and the fuzzer's plan mutator accept a plan only if
-  /// validate() returns empty, so every plan that reaches an execution obeys
-  /// the termination preconditions of Theorem 4.2's liveness argument.
+  /// The chaos soak accepts a plan only if validate() returns empty, so every
+  /// plan that reaches an execution obeys the termination preconditions of
+  /// Theorem 4.2's liveness argument.
   [[nodiscard]] std::string validate() const;
 
   [[nodiscard]] std::string to_string() const;

@@ -1,7 +1,6 @@
 #include "obs/coverage.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 namespace blunt::obs {
@@ -10,13 +9,6 @@ namespace {
 
 constexpr std::size_t kInitialSlots = 64;  // power of two
 constexpr const char* kHexDigits = "0123456789abcdef";
-
-[[nodiscard]] int hex_digit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
 
 }  // namespace
 
@@ -27,23 +19,6 @@ std::string fingerprint_to_hex(std::uint64_t fp) {
     fp >>= 4;
   }
   return out;
-}
-
-std::uint64_t fingerprint_from_hex(const std::string& hex) {
-  if (hex.size() != 16) {
-    throw std::runtime_error("fingerprint_from_hex: expected 16 hex digits, "
-                             "got \"" + hex + "\"");
-  }
-  std::uint64_t v = 0;
-  for (const char c : hex) {
-    const int d = hex_digit(c);
-    if (d < 0) {
-      throw std::runtime_error("fingerprint_from_hex: bad digit in \"" + hex +
-                               "\"");
-    }
-    v = (v << 4) | static_cast<std::uint64_t>(d);
-  }
-  return v;
 }
 
 bool CoverageMap::contains(std::uint64_t fp) const {

@@ -34,10 +34,6 @@ namespace blunt::obs {
 /// fingerprint — the only serialized form (doubles lose bits above 2^53).
 [[nodiscard]] std::string fingerprint_to_hex(std::uint64_t fp);
 
-/// Strict inverse of fingerprint_to_hex: exactly 16 lowercase/uppercase hex
-/// digits. Throws std::runtime_error on any other shape.
-[[nodiscard]] std::uint64_t fingerprint_from_hex(const std::string& hex);
-
 class CoverageMap {
  public:
   CoverageMap() = default;

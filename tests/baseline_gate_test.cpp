@@ -3,10 +3,9 @@
 // fixes, finalizes its report in memory and compares it with the committed
 // BENCH_<name>.json through obs::compare_reports: Wilson-interval verdicts
 // on Bernoulli metrics, exact values, invariant flags, registry counters and
-// the Theorem 4.2 watchdog. A regressed row or a bound violation fails the
-// case and names the metric with its evidence. An experiment without a
-// baseline file gets the Theorem 4.2 watchdog alone. Nothing is written to
-// disk.
+// the Theorem 4.2 watchdog. A regressed row, a bound violation or a baseline
+// metric the report no longer writes fails the case and names the metric.
+// Every experiment but scaling_probe is gated. Nothing is written to disk.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -74,6 +73,12 @@ void expect_matches_baseline(const std::string& name,
                              std::int64_t trials = -1) {
   const obs::Json current = run_report(name, trials);
   const obs::Json baseline = load_baseline(name);
+  // compare_reports calls a metric the report no longer writes neutral;
+  // the gate requires every baseline metric to still be there.
+  for (const auto& [key, value] : baseline.at("metrics").as_object()) {
+    EXPECT_NE(current.at("metrics").find(key), nullptr)
+        << name << " no longer reports metrics." << key;
+  }
   expect_clean(name, obs::compare_reports(baseline, current).comparisons);
 }
 
@@ -94,6 +99,10 @@ TEST(BaselineGate, ChaosSoakMatchesBaseline) {
 
 TEST(BaselineGate, EquivalenceSoakMatchesBaseline) {
   expect_matches_baseline("equivalence_soak");
+}
+
+TEST(BaselineGate, SnapshotBluntingMatchesBaseline) {
+  expect_matches_baseline("snapshot_blunting");
 }
 
 TEST(BaselineGate, NSweepMatchesBaseline) {
@@ -126,11 +135,6 @@ TEST(BaselineGate, VitanyiIlBluntingMatchesBaseline) {
 
 TEST(BaselineGate, ConsensusMatchesBaseline) {
   expect_matches_baseline("consensus");
-}
-
-TEST(BaselineGate, SnapshotBluntingHoldsTheorem42Bound) {
-  expect_clean("snapshot_blunting",
-               obs::check_thm42_bound(run_report("snapshot_blunting")));
 }
 
 }  // namespace

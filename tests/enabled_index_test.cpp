@@ -150,7 +150,9 @@ TEST(EnabledIndex, WeakenerMatchesRescanOracleAtEveryDetailLevel) {
                                       d, /*verify=*/true);
       EXPECT_EQ(on.status, off.status);
       EXPECT_EQ(on.steps, off.steps);
-      if (d == sim::TraceDetail::kFull) EXPECT_EQ(on.hash, off.hash);
+      if (d == sim::TraceDetail::kFull) {
+        EXPECT_EQ(on.hash, off.hash);
+      }
     }
   }
 }
@@ -283,7 +285,9 @@ TEST(EnabledIndex, ChaosMatchesRescanOracleAtEveryDetailLevel) {
         const Outcome on = run_chaos(seed, k, d, /*verify=*/true);
         EXPECT_EQ(on.status, off.status);
         EXPECT_EQ(on.steps, off.steps);
-        if (d == sim::TraceDetail::kFull) EXPECT_EQ(on.hash, off.hash);
+        if (d == sim::TraceDetail::kFull) {
+          EXPECT_EQ(on.hash, off.hash);
+        }
       }
     }
   }

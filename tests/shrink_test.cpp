@@ -141,62 +141,11 @@ TEST(Shrink, MinimizesAPlantedQuorumBugCounterexample) {
   FAIL() << "no seed in the sweep exposed the planted quorum bug";
 }
 
-TEST(Ddmin, EvalBudgetReturnsAStillFailingSupersetDeterministically) {
-  std::vector<EventDescriptor> schedule;
-  for (Pid pid = 0; pid < 20; ++pid) schedule.push_back(resume_d(pid));
-  long evals = 0;
-  const auto fails = [&evals](const std::vector<EventDescriptor>& s) {
-    ++evals;
-    bool a = false;
-    bool b = false;
-    for (const EventDescriptor& d : s) {
-      a = a || d.pid == 3;
-      b = b || d.pid == 11;
-    }
-    return a && b;
-  };
-  const ShrinkOptions budget{.max_evals = 5};
-  const std::vector<EventDescriptor> partial =
-      shrink_schedule(fails, schedule, budget);
-  EXPECT_LE(evals, budget.max_evals);
-  // Budget exhausted before 1-minimality: the result is a valid (possibly
-  // non-minimal) counterexample — it still fails and still contains both
-  // required events, in order.
-  bool has3 = false;
-  bool has11 = false;
-  for (const EventDescriptor& d : partial) {
-    has3 = has3 || d.pid == 3;
-    has11 = has11 || d.pid == 11;
-  }
-  EXPECT_TRUE(has3);
-  EXPECT_TRUE(has11);
-  EXPECT_GE(partial.size(), 2u);
-
-  // Deterministic: the same budget reproduces the same intermediate result.
-  long evals2 = 0;
-  const auto fails2 = [&evals2](const std::vector<EventDescriptor>& s) {
-    ++evals2;
-    bool a = false;
-    bool b = false;
-    for (const EventDescriptor& d : s) {
-      a = a || d.pid == 3;
-      b = b || d.pid == 11;
-    }
-    return a && b;
-  };
-  EXPECT_EQ(shrink_schedule(fails2, schedule, budget), partial);
-  EXPECT_EQ(evals2, evals);
-
-  // An ample budget converges to the same 1-minimal answer as unbounded.
-  EXPECT_EQ(shrink_schedule(fails, schedule, ShrinkOptions{.max_evals = 0}),
-            shrink_schedule(fails, schedule));
-}
-
 TEST(EventReplay, RepairsAreCountedOnMalformedSchedules) {
   // A schedule of descriptors that can never match (pids outside the world,
   // bogus payloads): every descriptor is skipped, the run falls back to
-  // first-enabled steps, and the deviation count is surfaced via repairs()
-  // instead of an assert or a crash.
+  // first-enabled steps, and both deviations are counted instead of asserted
+  // or crashed on.
   std::vector<EventDescriptor> garbage;
   for (int i = 0; i < 5; ++i) {
     garbage.push_back({sim::Event::Kind::kResume, static_cast<Pid>(40 + i),
@@ -208,7 +157,6 @@ TEST(EventReplay, RepairsAreCountedOnMalformedSchedules) {
   EXPECT_EQ(status, sim::RunStatus::kCompleted);
   EXPECT_EQ(adv.skipped(), 5);
   EXPECT_GT(adv.overflow_steps(), 0);
-  EXPECT_EQ(adv.repairs(), adv.skipped() + adv.overflow_steps());
 }
 
 TEST(ToScriptedProgram, CoversEveryEventKind) {

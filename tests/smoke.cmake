@@ -1,10 +1,6 @@
 # End-to-end smoke checks that drive the built binaries in an empty scratch
 # directory and inspect what they leave behind. CASE picks the check:
 #
-#   fuzz     BLUNT_EXP, REPLAY: fuzz_search at BLUNT_FUZZ_TRIALS=3 on 1 and 2
-#            threads leaves byte-identical compacted corpora, finds and
-#            shrinks a violation with a ScriptedAdversary repro, and
-#            blunt_corpus_replay reproduces every corpus violation.
 #   profile  BLUNT_EXP: a scaling_probe report (it profiles every trial)
 #            carries the n4 and n256 snapshots, next to a flamegraph that
 #            attributes time to enabled_scan.
@@ -46,30 +42,7 @@ function(expect_nonempty path)
   endif()
 endfunction()
 
-if(CASE STREQUAL "fuzz")
-  foreach(threads 1 2)
-    set(out "${DIR}/t${threads}")
-    file(MAKE_DIRECTORY "${out}")
-    run(${CMAKE_COMMAND} -E env BLUNT_FUZZ_TRIALS=3
-        "BLUNT_FUZZ_CORPUS_PATH=${out}/FUZZ_CORPUS.jsonl"
-        "${BLUNT_EXP}" run fuzz_search --threads ${threads} --bench-dir "${out}")
-  endforeach()
-  set(corpus "${DIR}/t2/FUZZ_CORPUS.jsonl.compact")
-  expect_nonempty("${corpus}")
-  run(${CMAKE_COMMAND} -E compare_files "${DIR}/t1/FUZZ_CORPUS.jsonl.compact"
-      "${corpus}")
-  set(report "${DIR}/t2/BENCH_fuzz_search.json")
-  json_get(found "${report}" metrics fuzz.violations_found)
-  json_get(shrunk "${report}" metrics fuzz.violations_shrunk)
-  json_get(repro "${report}" metrics fuzz.repro.abd_bug)
-  if(found LESS 1 OR shrunk LESS 1)
-    message(FATAL_ERROR "fuzz_search found ${found}, shrunk ${shrunk}")
-  endif()
-  if(NOT repro MATCHES "ScriptedAdversary")
-    message(FATAL_ERROR "fuzz.repro.abd_bug names no ScriptedAdversary")
-  endif()
-  run("${REPLAY}" "${corpus}" --verbose)
-elseif(CASE STREQUAL "profile")
+if(CASE STREQUAL "profile")
   run("${BLUNT_EXP}" run scaling_probe --trials 14 --shard-size 2 --threads 2
       --bench-dir "${DIR}")
   set(report "${DIR}/BENCH_scaling_probe.json")
