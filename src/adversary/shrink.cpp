@@ -19,26 +19,6 @@ bool matches(const EventDescriptor& d, const sim::Event& e) {
 
 }  // namespace
 
-std::string to_string(const EventDescriptor& d) {
-  std::ostringstream os;
-  switch (d.kind) {
-    case sim::Event::Kind::kResume:
-      os << "resume(p" << d.pid << ", " << d.what << ')';
-      break;
-    case sim::Event::Kind::kDeliver:
-      os << "deliver(p" << d.pid << ", src" << d.source_id << ", " << d.what
-         << ')';
-      break;
-    case sim::Event::Kind::kCrash:
-      os << "crash(p" << d.pid << ')';
-      break;
-    case sim::Event::Kind::kTick:
-      os << "tick()";
-      break;
-  }
-  return os.str();
-}
-
 std::size_t RecordingAdversary::choose(const sim::World& w,
                                        const sim::EnabledView& enabled) {
   const std::size_t idx = inner_->choose(w, enabled);

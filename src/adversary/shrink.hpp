@@ -45,8 +45,6 @@ struct EventDescriptor {
                          const EventDescriptor&) = default;
 };
 
-[[nodiscard]] std::string to_string(const EventDescriptor& d);
-
 /// Wraps an inner adversary and records every event it chooses.
 class RecordingAdversary final : public sim::Adversary {
  public:

@@ -39,8 +39,7 @@
 #include "exp/workloads.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
-#include "lin/check.hpp"
-#include "lin/history.hpp"
+#include "lin/spec.hpp"
 #include "objects/israeli_li.hpp"
 #include "objects/vitanyi.hpp"
 #include "sim/adversaries.hpp"
@@ -151,9 +150,7 @@ AbdChaosWorld make_abd_chaos(std::uint64_t coin_seed,
 }
 
 bool lin_ok(const sim::World& w) {
-  lin::RegisterSpec spec;
-  return lin::check_linearizable(lin::History::from_world(w), spec)
-      .linearizable;
+  return certified_linearizable(w, lin::RegisterSpec{});
 }
 
 // The chaos trial bodies take an optional coverage accumulator (`cov`):

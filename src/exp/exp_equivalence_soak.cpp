@@ -18,8 +18,7 @@
 
 #include "exp/experiment.hpp"
 #include "exp/workloads.hpp"
-#include "lin/check.hpp"
-#include "lin/history.hpp"
+#include "lin/spec.hpp"
 #include "objects/israeli_li.hpp"
 #include "objects/snapshot.hpp"
 #include "objects/vitanyi.hpp"
@@ -52,8 +51,7 @@ bool abd_mw(std::uint64_t seed, int k) {
   sim::UniformAdversary adv(seed * 7 + 3);
   if (w->run(adv).status != sim::RunStatus::kCompleted) return false;
   lin::RegisterSpec spec;
-  return lin::check_linearizable(lin::History::from_world(*w), spec)
-      .linearizable;
+  return certified_linearizable(*w, spec);
 }
 
 bool abd_sw(std::uint64_t seed, int k) {
@@ -79,8 +77,7 @@ bool abd_sw(std::uint64_t seed, int k) {
   sim::UniformAdversary adv(seed * 11 + 1);
   if (w->run(adv).status != sim::RunStatus::kCompleted) return false;
   lin::RegisterSpec spec;
-  return lin::check_linearizable(lin::History::from_world(*w), spec)
-      .linearizable;
+  return certified_linearizable(*w, spec);
 }
 
 bool snapshot(std::uint64_t seed, int k) {
@@ -103,8 +100,7 @@ bool snapshot(std::uint64_t seed, int k) {
   sim::UniformAdversary adv(seed * 13 + 5);
   if (w->run(adv).status != sim::RunStatus::kCompleted) return false;
   lin::SnapshotSpec spec(3);
-  return lin::check_linearizable(lin::History::from_world(*w), spec)
-      .linearizable;
+  return certified_linearizable(*w, spec);
 }
 
 bool vitanyi(std::uint64_t seed, int k) {
@@ -125,8 +121,7 @@ bool vitanyi(std::uint64_t seed, int k) {
   sim::UniformAdversary adv(seed * 17 + 7);
   if (w->run(adv).status != sim::RunStatus::kCompleted) return false;
   lin::RegisterSpec spec;
-  return lin::check_linearizable(lin::History::from_world(*w), spec)
-      .linearizable;
+  return certified_linearizable(*w, spec);
 }
 
 bool israeli_li(std::uint64_t seed, int k) {
@@ -150,8 +145,7 @@ bool israeli_li(std::uint64_t seed, int k) {
   sim::UniformAdversary adv(seed * 19 + 9);
   if (w->run(adv).status != sim::RunStatus::kCompleted) return false;
   lin::RegisterSpec spec;
-  return lin::check_linearizable(lin::History::from_world(*w), spec)
-      .linearizable;
+  return certified_linearizable(*w, spec);
 }
 
 struct Row {

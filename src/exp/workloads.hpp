@@ -10,10 +10,13 @@
 #include <vector>
 
 #include "adversary/mc_search.hpp"
+#include "common/assert.hpp"
 #include "common/stats.hpp"
 #include "core/bounds.hpp"
 #include "exp/accumulator.hpp"
 #include "exp/experiment.hpp"
+#include "lin/check.hpp"
+#include "lin/history.hpp"
 #include "objects/abd.hpp"
 #include "obs/coverage.hpp"
 #include "obs/fingerprint.hpp"
@@ -32,6 +35,21 @@ namespace blunt::exp {
 /// Shared by make_abd_weakener and the sweep experiments so a sweep can vary
 /// it in one place.
 inline constexpr int kWeakenerNumProcesses = 3;
+
+/// Wing–Gong verdict on `w`'s history. Every "yes" is certified: its
+/// witness must pass lin::validate_linearization, and a witness that does
+/// not is a checker bug, so the run aborts.
+inline bool certified_linearizable(const sim::World& w,
+                                   const lin::SequentialSpec& spec) {
+  const lin::History h = lin::History::from_world(w);
+  const lin::LinearizationResult r = lin::check_linearizable(h, spec);
+  if (r.linearizable) {
+    std::string why;
+    BLUNT_ASSERT(lin::validate_linearization(h, spec, r.witness, &why),
+                 "Wing-Gong witness fails validation: " << why);
+  }
+  return r.linearizable;
+}
 
 /// Weakener over ABD^k registers, coin seeded for Monte-Carlo trials.
 /// `num_processes` is the ABD replication width n (not the number of

@@ -1,7 +1,6 @@
 #include "lin/spec.hpp"
 
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -63,10 +62,6 @@ class RegisterState final : public SpecState {
     if (op.method == "Write") value_ = op.argument;
   }
 
-  [[nodiscard]] std::string encode() const override {
-    return "reg:" + sim::to_string(value_);
-  }
-
   [[nodiscard]] bool undoable() const override { return true; }
 
   void apply_undoable(const Operation& op) override {
@@ -86,11 +81,6 @@ class RegisterState final : public SpecState {
 
   [[nodiscard]] std::uint64_t hash() const override {
     return hash_value(kFnvOffset ^ 'r', value_);
-  }
-
-  void encode_into(std::string& out) const override {
-    out += "reg:";
-    out += sim::to_string(value_);
   }
 
  private:
@@ -128,11 +118,12 @@ class QueueState final : public SpecState {
     }
   }
 
-  [[nodiscard]] std::string encode() const override {
-    std::ostringstream os;
-    os << "q:";
-    for (std::int64_t v : items_) os << v << ',';
-    return os.str();
+  [[nodiscard]] std::uint64_t hash() const override {
+    std::uint64_t h = fnv1a_step(kFnvOffset ^ 'q', items_.size());
+    for (std::int64_t v : items_) {
+      h = fnv1a_step(h, static_cast<std::uint64_t>(v));
+    }
+    return h;
   }
 
  private:
@@ -163,13 +154,6 @@ class SnapshotState final : public SpecState {
     }
   }
 
-  [[nodiscard]] std::string encode() const override {
-    std::ostringstream os;
-    os << "snap:";
-    for (std::int64_t s : segs_) os << s << ',';
-    return os.str();
-  }
-
   [[nodiscard]] bool undoable() const override { return true; }
 
   void apply_undoable(const Operation& op) override {
@@ -198,17 +182,6 @@ class SnapshotState final : public SpecState {
     return h;
   }
 
-  void encode_into(std::string& out) const override {
-    out += "snap:";
-    // Fixed segment count per spec instance => length-prefixing not needed.
-    for (std::int64_t s : segs_) {
-      for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<char>(
-            (static_cast<std::uint64_t>(s) >> (8 * i)) & 0xff));
-      }
-    }
-  }
-
  private:
   std::vector<std::int64_t> segs_;
   // Undo stack: (segment pid, prior value) for an Update, (-1, 0) for a Scan.
@@ -219,10 +192,6 @@ class SnapshotState final : public SpecState {
 
 void SpecState::undo() {
   BLUNT_UNREACHABLE("undo() on a SpecState that is not undoable");
-}
-
-std::uint64_t SpecState::hash() const {
-  return fnv1a_bytes(kFnvOffset, encode());
 }
 
 std::unique_ptr<SpecState> RegisterSpec::initial() const {

@@ -26,10 +26,12 @@ class SpecState {
   /// Applies the operation's effect.
   virtual void apply(const Operation& op) = 0;
 
-  /// Canonical serialization; used as an exact memoization key.
-  [[nodiscard]] virtual std::string encode() const = 0;
+  /// 64-bit hash of the state — Wing–Gong's memo key component
+  /// (lin/check.cpp). Equal states must hash equally.
+  [[nodiscard]] virtual std::uint64_t hash() const = 0;
 
-  // -- Hot-path hooks for the Wing–Gong checker (lin/check.cpp) --
+  // -- Undo hooks for the checkers' backtracking (lin/check.cpp,
+  // lin/strong.cpp) --
 
   /// A state supporting cheap in-place reversal returns true and implements
   /// apply_undoable()/undo() as exact inverses; the checker then never
@@ -43,15 +45,6 @@ class SpecState {
 
   /// Reverses the most recent un-undone apply_undoable().
   virtual void undo();
-
-  /// 64-bit hash of the canonical encoding — the checker's memo key
-  /// component. Equal states must hash equally; the default hashes
-  /// encode(), overrides hash the live representation directly.
-  [[nodiscard]] virtual std::uint64_t hash() const;
-
-  /// Appends the canonical encoding to `out` (no clear); default appends
-  /// encode(). Exists so callers can reuse one buffer across states.
-  virtual void encode_into(std::string& out) const { out += encode(); }
 };
 
 class SequentialSpec {

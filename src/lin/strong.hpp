@@ -22,6 +22,12 @@
 // with different values on different branches), the committed result must
 // match — this is exactly the mechanism behind the Golab–Higham–Woelfel-style
 // counterexamples, and the checker reproduces them (see tests).
+//
+// The search runs on Wing–Gong's representation (DESIGN.md §8): a tree may
+// hold at most kMaxTreeInvocations (64) distinct invocation ids, and more
+// aborts with a message. A "yes" carries its certificate: each node's
+// linearization, which lin::validate_linearization can re-check against the
+// node's history, each child's extending its parent's.
 #pragma once
 
 #include <map>
@@ -50,6 +56,11 @@ class PreambleMapping {
   /// Is `op` past its preamble in the history it came from? (Returned ops
   /// always are; otherwise a recorded line-pass ≥ Π(M) is required.)
   [[nodiscard]] bool op_complete(const Operation& op) const;
+
+  /// The least cut at which `op` is complete in History::prefix(cut): one
+  /// past its call under ℓ0, else one past its return or its first
+  /// line-pass ≥ Π(M), whichever is earlier; INT_MAX if neither happens.
+  [[nodiscard]] int completion_cut(const Operation& op) const;
 
   /// Is the execution with history `h` complete w.r.t. Π?
   [[nodiscard]] bool history_complete(const History& h) const;
@@ -109,14 +120,25 @@ class PrefixTree {
   std::vector<Node> nodes_;
 };
 
+/// The most distinct invocation ids one prefix tree may hold: the checker
+/// keeps committed sets and predecessor sets as uint64 masks.
+inline constexpr int kMaxTreeInvocations = 64;
+
 struct StrongCheckResult {
   bool ok = false;
   /// For failures: the node at which no consistent extension exists.
   int failing_node = -1;
   std::string detail;
+  /// On success, the certificate: per node (indexed like the tree), its
+  /// linearization as invocation ids in order, from the search's final
+  /// successful pass. Each linearizes its node's history, and each child's
+  /// starts with its parent's. Empty on failure.
+  std::vector<std::vector<InvocationId>> linearizations;
 };
 
 /// Searches for a prefix-preserving linearization assignment over the tree.
+/// The tree may hold at most kMaxTreeInvocations distinct invocation ids
+/// (more aborts with a message).
 [[nodiscard]] StrongCheckResult check_prefix_tree(const PrefixTree& tree,
                                                   const SequentialSpec& spec);
 

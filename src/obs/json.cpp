@@ -123,9 +123,16 @@ std::string dump_double(double d) {
     std::snprintf(shorter, sizeof(shorter), "%.*g", prec, d);
     double back = 0.0;
     std::sscanf(shorter, "%lf", &back);
-    if (back == d) return shorter;
+    if (back == d) {
+      std::snprintf(buf, sizeof(buf), "%s", shorter);
+      break;
+    }
   }
-  return buf;
+  // A double keeps a fraction or an exponent, so it parses back as a double
+  // (0.0 is written "0.0", not the integer "0").
+  std::string out = buf;
+  if (out.find_first_of(".eE") == std::string::npos) out += ".0";
+  return out;
 }
 
 void dump_rec(const Json& j, std::string& out, int indent, int depth) {

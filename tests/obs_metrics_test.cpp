@@ -236,6 +236,23 @@ TEST(JsonNonFinite, DumpThrowsInsteadOfEmittingInvalidJson) {
   EXPECT_EQ(Json(0.625).dump(), "0.625");
 }
 
+// A double must parse back as a double: an integral value written as an
+// integer literal would come back as an integer, which compare_reports
+// reads as an exact count.
+TEST(JsonDouble, IntegralAndFractionalDoublesParseBackAsDoubles) {
+  for (const double d : {0.0, 1.0, -3.0, 1e21, 0.1}) {
+    const std::string text = Json(d).dump();
+    const Json back = Json::parse(text);
+    EXPECT_TRUE(back.is_double()) << d << " written as " << text;
+    EXPECT_EQ(back.as_double(), d) << d << " written as " << text;
+  }
+  EXPECT_EQ(Json(0.0).dump(), "0.0");
+  EXPECT_EQ(Json(-3.0).dump(), "-3.0");
+  EXPECT_EQ(Json(1e21).dump(), "1e+21");
+  EXPECT_EQ(Json(0.1).dump(), "0.1");
+  EXPECT_EQ(Json(std::int64_t{0}).dump(), "0");  // integers stay integers
+}
+
 TEST(ValidateReport, RejectsNonFiniteAnywhereInTheDocument) {
   BenchReport r("nonfinite_test");
   r.add_timing_ms("total", 1.0);

@@ -190,5 +190,63 @@ TEST(StrongCheck, EarlyCommitResultHonored) {
   EXPECT_TRUE(res.ok) << res.detail;
 }
 
+TEST(StrongCheck, QueueSpecChainCommitsAPendingEnqueueEarly) {
+  // QueueSpec states cannot undo, so this exercises the clone fallback.
+  // Deq returns 1 while Enq(1) is still pending and Enq(2) has returned:
+  // Enq(1) must be linearized before Enq(2), at the node where Enq(2)
+  // returns, before its own return.
+  test::HistoryBuilder hb("Q");
+  hb.op(0, "Enq", sim::Value(std::int64_t{1}), sim::Value{}, 0, 9);
+  hb.op(1, "Enq", sim::Value(std::int64_t{2}), sim::Value{}, 1, 2);
+  hb.op(2, "Deq", {}, sim::Value(std::int64_t{1}), 3, 4);
+  const QueueSpec queue;
+  const PrefixTree tree =
+      PrefixTree::chain_of(hb.build(), PreambleMapping::trivial());
+  const auto res = check_prefix_tree(tree, queue);
+  ASSERT_TRUE(res.ok) << res.detail;
+  ASSERT_EQ(res.linearizations.size(), static_cast<std::size_t>(tree.size()));
+  for (int n = 0; n < tree.size(); ++n) {
+    std::string why;
+    EXPECT_TRUE(validate_linearization(
+        tree.node(n).h, queue,
+        res.linearizations[static_cast<std::size_t>(n)], &why))
+        << "node " << n << ": " << why;
+  }
+  // The node where Enq(2) returns already commits Enq(1) then Enq(2).
+  EXPECT_EQ(res.linearizations[3], (std::vector<InvocationId>{0, 1}));
+
+  test::HistoryBuilder bad("Q");
+  bad.op(0, "Enq", sim::Value(std::int64_t{1}), sim::Value{}, 0, 1);
+  bad.op(1, "Deq", {}, sim::Value(std::int64_t{3}), 2, 3);
+  const auto bad_res =
+      check_prefix_chain(bad.build(), queue, PreambleMapping::trivial());
+  EXPECT_FALSE(bad_res.ok);
+  EXPECT_EQ(bad_res.failing_node, 4);  // the cut after Deq's return
+  EXPECT_TRUE(bad_res.linearizations.empty());
+}
+
+// `count` sequential writes, each returning before the next is called.
+History sequential_writes(int count) {
+  test::HistoryBuilder hb;
+  for (int i = 0; i < count; ++i) hb.write(i % 3, i, 2 * i, 2 * i + 1);
+  return hb.build();
+}
+
+TEST(StrongCheck, TreeOfSixtyFourInvocationsIsChecked) {
+  const PrefixTree tree =
+      PrefixTree::chain_of(sequential_writes(kMaxTreeInvocations),
+                           PreambleMapping::trivial());
+  const auto res = check_prefix_tree(tree, bottom_reg);
+  ASSERT_TRUE(res.ok) << res.detail;
+  EXPECT_EQ(res.linearizations.back().size(),
+            static_cast<std::size_t>(kMaxTreeInvocations));
+}
+
+TEST(StrongCheckDeathTest, TreeOfMoreThanSixtyFourInvocationsAborts) {
+  const PrefixTree tree(sequential_writes(kMaxTreeInvocations + 1));
+  EXPECT_DEATH((void)check_prefix_tree(tree, bottom_reg),
+               "65 distinct invocations \\(cap 64\\)");
+}
+
 }  // namespace
 }  // namespace blunt::lin
