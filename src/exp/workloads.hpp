@@ -64,6 +64,8 @@ inline bool certified_linearizable(const sim::World& w,
 /// bodies that never read the trace pass kNone to stay off the allocator.
 /// `profile` turns on the world's deterministic profiler (purely
 /// observational; read it via inst.world->profiler()).
+/// The step budget grows with n: a run takes about 37 steps per replica
+/// (about 366k at n = 10^4, past the default 200,000 from n of about 5,500).
 inline adversary::McInstance make_abd_weakener(
     std::uint64_t coin_seed, int k,
     int num_processes = kWeakenerNumProcesses, bool metrics = false,
@@ -71,7 +73,9 @@ inline adversary::McInstance make_abd_weakener(
     bool profile = false) {
   adversary::McInstance inst;
   inst.world = std::make_unique<sim::World>(
-      sim::Config{.metrics = metrics, .trace_detail = trace_detail,
+      sim::Config{.max_steps = 200000 + 64 * num_processes,
+                  .metrics = metrics,
+                  .trace_detail = trace_detail,
                   .profile = profile},
       std::make_unique<sim::SeededCoin>(coin_seed));
   auto r = std::make_shared<objects::AbdRegister>(

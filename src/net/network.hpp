@@ -33,11 +33,13 @@
 // Storage: a delivery or crash-drop tombstones its envelope in place rather
 // than erasing it from the middle of the in-transit vector (which would
 // move every later envelope and its payload). Dead slots are compacted away
-// only once they outnumber the live ones, so a delivery costs O(log n)
-// amortized however many messages are in flight.
+// only once they outnumber the live ones. Ids are dense and monotone, so an
+// id -> position table beside the vector finds a delivery's envelope with
+// one load; compaction rewrites it. A delivery costs O(1) amortized however
+// many messages are in flight, and each payload is copied once per
+// recipient.
 #pragma once
 
-#include <algorithm>
 #include <concepts>
 #include <functional>
 #include <string>
@@ -104,6 +106,7 @@ class Network final : public sim::DeliverySource {
   }
 
   /// Point-to-point send (self-sends allowed; ABD nodes message themselves).
+  /// The last copy the fault layer asks for takes `msg` itself.
   void send(Pid from, Pid to, M msg) {
     check_pid(from);
     check_pid(to);
@@ -162,21 +165,29 @@ class Network final : public sim::DeliverySource {
         ++messages_duplicated_;
         if (duplicated_counter_ != nullptr) duplicated_counter_->inc();
       }
+      const bool deliverable = world() != nullptr && !severed(from, to);
+      std::string summary = deliverable && world()->wants_what()
+                                ? name_ + " " + msg.summary() + " from p" +
+                                      std::to_string(from)
+                                : std::string();
       // ids are monotone, so the vector stays sorted by append.
-      in_transit_.push_back(Envelope{id, from, to, msg, false});
-      if (world() != nullptr && !severed(from, to)) {
-        world()->source_event_insert(
-            source_id(), id, to,
-            world()->wants_what() ? name_ + " " + msg.summary() + " from p" +
-                                        std::to_string(from)
-                                  : std::string());
+      pos_of_.push_back(static_cast<int>(in_transit_.size()));
+      if (copy + 1 == fate.copies) {
+        in_transit_.emplace_back(id, from, to, std::move(msg), false);
+      } else {
+        in_transit_.emplace_back(id, from, to, msg, false);
+      }
+      if (deliverable) {
+        world()->source_event_insert(source_id(), id, to, std::move(summary));
       }
     }
   }
 
   /// Send to every process, including the sender (Algorithm 3's broadcast).
-  void broadcast(Pid from, const M& msg) {
-    for (Pid to = 0; to < num_processes_; ++to) send(from, to, msg);
+  /// The last recipient's send takes `msg` itself.
+  void broadcast(Pid from, M msg) {
+    for (Pid to = 0; to + 1 < num_processes_; ++to) send(from, to, msg);
+    send(from, num_processes_ - 1, std::move(msg));
   }
 
   // -- DeliverySource --
@@ -196,14 +207,13 @@ class Network final : public sim::DeliverySource {
   }
 
   void deliver(int msg_id) override {
-    auto it = find_in_transit(msg_id);
-    BLUNT_ASSERT(it != in_transit_.end() && it->id == msg_id && !it->dead,
-                 "deliver of unknown msg " << msg_id);
+    Envelope* const env = find_live(msg_id);
+    BLUNT_ASSERT(env != nullptr, "deliver of unknown msg " << msg_id);
     // The handler may send, growing in_transit_: take the payload out first.
-    const Pid from = it->from;
-    const Pid to = it->to;
-    const M payload = std::move(it->payload);
-    it->dead = true;
+    const Pid from = env->from;
+    const Pid to = env->to;
+    const M payload = std::move(env->payload);
+    env->dead = true;
     ++dead_;
     compact_if_sparse();
     if (world() != nullptr) world()->source_event_erase(source_id(), msg_id);
@@ -277,20 +287,29 @@ class Network final : public sim::DeliverySource {
     return fault_layer_ != nullptr && fault_layer_->channel_blocked(from, to);
   }
 
-  [[nodiscard]] typename std::vector<Envelope>::iterator find_in_transit(
-      int msg_id) {
-    return std::lower_bound(
-        in_transit_.begin(), in_transit_.end(), msg_id,
-        [](const Envelope& e, int id) { return e.id < id; });
+  /// The live envelope with id `msg_id`, or nullptr: one table load.
+  [[nodiscard]] Envelope* find_live(int msg_id) {
+    if (msg_id < first_id_ || msg_id >= next_id_) return nullptr;
+    const int pos = pos_of_[static_cast<std::size_t>(msg_id - first_id_)];
+    if (pos < 0) return nullptr;
+    Envelope& env = in_transit_[static_cast<std::size_t>(pos)];
+    return env.dead ? nullptr : &env;
   }
 
-  /// Drops the tombstones once they outnumber the live envelopes; each
-  /// compaction is paid for by the deliveries that made them.
+  /// Drops the tombstones once they outnumber the live envelopes, and
+  /// rebases the position table on the first stored id; each compaction is
+  /// paid for by the deliveries that made the tombstones.
   void compact_if_sparse() {
     const int live = static_cast<int>(in_transit_.size()) - dead_;
     if (dead_ < kCompactFloor || dead_ <= live) return;
     std::erase_if(in_transit_, [](const Envelope& e) { return e.dead; });
     dead_ = 0;
+    first_id_ = in_transit_.empty() ? next_id_ : in_transit_.front().id;
+    pos_of_.assign(static_cast<std::size_t>(next_id_ - first_id_), -1);
+    for (std::size_t i = 0; i < in_transit_.size(); ++i) {
+      pos_of_[static_cast<std::size_t>(in_transit_[i].id - first_id_)] =
+          static_cast<int>(i);
+    }
   }
 
   std::string name_;
@@ -305,11 +324,15 @@ class Network final : public sim::DeliverySource {
   obs::Counter* duplicated_counter_ = nullptr;
   std::vector<Handler> handlers_;
   // Sorted by id (monotone assignment => append keeps order, and tombstones
-  // keep their ids), so deliver binary-searches it. Replaced the historical
-  // std::map: same canonical enumeration order, no node allocations on the
-  // send path.
+  // keep their ids). Replaced the historical std::map: same canonical
+  // enumeration order, no node allocations on the send path.
   std::vector<Envelope> in_transit_;
   int dead_ = 0;  // tombstones in in_transit_
+  // pos_of_[id - first_id_] is envelope id's position in in_transit_, or -1
+  // once compaction has dropped it. It spans the ids from the first stored
+  // envelope's to next_id_ - 1: a send appends, a compaction rebases it.
+  std::vector<int> pos_of_;
+  int first_id_ = 0;
   std::vector<char> crashed_;  // indexed by pid
   int next_id_ = 0;
   int messages_sent_ = 0;

@@ -7,6 +7,7 @@
 #include <random>
 #include <vector>
 
+#include "sim/coin.hpp"
 #include "sim/world.hpp"
 
 namespace blunt::sim {
@@ -32,7 +33,7 @@ class UniformAdversary final : public Adversary {
   }
 
  private:
-  std::mt19937_64 rng_;
+  Mt19937_64 rng_;
 };
 
 /// Replays a scripted sequence of event indices, then falls back to index 0.

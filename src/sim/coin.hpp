@@ -7,6 +7,8 @@
 // the replay explorer (src/adversary) and all tests depend on.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -14,6 +16,55 @@
 #include "common/assert.hpp"
 
 namespace blunt::sim {
+
+/// std::mt19937_64, word for word, with its 312-word twist spread over the
+/// draws: each draw twists the one word it returns, so building one and
+/// drawing a few times costs the seeding alone. The batch twist updates
+/// words in index order, each from itself, its successor and the word 156
+/// places on, so at any word's turn the same words have been updated in
+/// both orders. The same result_type, min() and max() make
+/// std::uniform_int_distribution draw from it exactly as from the standard
+/// engine.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint_fast64_t;
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed = 5489u) {
+    x_[0] = seed;
+    for (std::size_t i = 1; i < kN; ++i) {
+      x_[i] = 6364136223846793005ULL * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+    }
+  }
+
+  result_type operator()() {
+    const std::size_t i = i_;
+    const std::size_t next = i + 1 == kN ? 0 : i + 1;
+    const std::size_t far = i < kN - kM ? i + kM : i + kM - kN;
+    const std::uint64_t y =
+        (x_[i] & ~kLowerMask) | (x_[next] & kLowerMask);
+    // -(y & 1) is all ones exactly when the low bit is set: no branch.
+    std::uint64_t z =
+        x_[far] ^ (y >> 1) ^ (-(y & 1) & 0xB5026F5AA96619E9ULL);
+    x_[i] = z;
+    i_ = next;
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+  static constexpr std::uint64_t kLowerMask = (std::uint64_t{1} << 31) - 1;
+
+  std::array<std::uint64_t, kN> x_;
+  std::size_t i_ = 0;
+};
 
 /// Produces uniform samples in [0, n). Implementations must be deterministic
 /// given their construction parameters.
@@ -37,7 +88,7 @@ class SeededCoin final : public CoinSource {
   }
 
  private:
-  std::mt19937_64 rng_;
+  Mt19937_64 rng_;
 };
 
 /// A scripted coin sequence, used by exhaustive exploration: the explorer

@@ -5,8 +5,10 @@
 // every delivery source's cache, the crash region, and the fault tick.
 // Nothing is copied: size() is O(1) and iteration O(1) per element. Looking
 // one element up by index (operator[], which World::run calls once per step)
-// walks the sources and then its source's chunk table, so that lookup still
-// grows with the messages in flight, by one slot per kChunkSize of them.
+// walks the handful of sources and bisects its source's running chunk
+// counts, so it costs O(log C) in that source's C chunks; the erase that
+// executing the looked-up delivery then makes starts where the lookup
+// ended, with no search.
 #pragma once
 
 #include <algorithm>
@@ -26,23 +28,36 @@ namespace blunt::sim {
 /// in msg_id order, kept in append-only chunks of kChunkSize events. An
 /// erase shifts the tail of one chunk only; a chunk it empties is recycled
 /// for later appends (the last chunk simply stays, empty, to take them).
-/// Each chunk's size and id bound sit in one contiguous slot table, so a
-/// lookup walks or bisects that table without touching the chunks.
-/// Summaries (full trace detail only) live in stable heap storage that the
-/// events' `what` views point into, freed on erase.
+/// Beside the chunks sit two tables: the slots, each holding a chunk and the
+/// first id pushed into it, which a search for an id bisects, and the
+/// running count of events up to and including each chunk, which
+/// operator[] bisects. Summaries (full trace detail only) live in stable
+/// heap storage that the events' `what` views point into, freed on erase.
 class EventChunks {
  public:
   static constexpr std::size_t kChunkSize = 64;
 
-  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t size() const {
+    return ends_.empty() ? 0 : ends_.back();
+  }
 
-  /// The i-th event in msg_id order: walks the chunk sizes.
+  /// The i-th event in msg_id order: the first chunk whose running count
+  /// exceeds i holds it. Records where it was found, for erase().
   [[nodiscard]] const Event& operator[](std::size_t i) const {
-    for (const Slot& s : slots_) {
-      if (i < s.n) return s.chunk->events[i];
-      i -= s.n;
+    BLUNT_ASSERT(i < size(), "event index out of range");
+    // Each halving selects rather than branches: a branch on the index
+    // would mispredict about every other time.
+    const std::size_t* first = ends_.data();
+    for (std::size_t len = ends_.size(); len > 1;) {
+      const std::size_t half = len / 2;
+      first = first[half] <= i ? first + half : first;
+      len -= half;
     }
-    BLUNT_UNREACHABLE("event index out of range");
+    const std::size_t c =
+        static_cast<std::size_t>(first - ends_.data()) + (*first <= i ? 1 : 0);
+    const std::size_t pos = c == 0 ? i : i - ends_[c - 1];
+    found_ = {c, pos};
+    return slots_[c].chunk->events[pos];
   }
 
   /// Appends `e`, whose msg_id must exceed every one pushed since the last
@@ -51,18 +66,23 @@ class EventChunks {
   void push_back(Event e, std::unique_ptr<std::string> summary) {
     BLUNT_ASSERT(e.msg_id > last_msg_id_, "pushed insert out of msg_id order");
     last_msg_id_ = e.msg_id;
-    if (slots_.empty() || slots_.back().n == kChunkSize) add_chunk();
+    if (slots_.empty() || chunk_size(slots_.size() - 1) == kChunkSize) {
+      add_chunk();
+    }
+    const std::size_t n = chunk_size(slots_.size() - 1);
     Slot& s = slots_.back();
-    if (s.n == 0) s.first_id = e.msg_id;
+    if (n == 0) s.first_id = e.msg_id;
     if (summary != nullptr) {
       e.what = *summary;
-      s.chunk->summaries[s.n] = std::move(summary);
+      s.chunk->summaries[n] = std::move(summary);
       summaries_ = true;
     }
-    s.chunk->events[s.n++] = e;
-    ++size_;
+    s.chunk->events[n] = e;
+    ++ends_.back();
   }
-  /// Removes the event with `msg_id`, which must be stored.
+  /// Removes the event with `msg_id`, which must be stored. When it is the
+  /// event operator[] returned last (World::run executes the event it just
+  /// looked up), no search is needed.
   void erase(int msg_id);
   void clear();
 
@@ -72,7 +92,7 @@ class EventChunks {
     return slots_[c].chunk->events.data();
   }
   [[nodiscard]] std::size_t chunk_size(std::size_t c) const {
-    return slots_[c].n;
+    return c == 0 ? ends_[0] : ends_[c] - ends_[c - 1];
   }
 
  private:
@@ -82,54 +102,68 @@ class EventChunks {
   };
   struct Slot {
     std::unique_ptr<Chunk> chunk;
-    std::size_t n = 0;
     // The msg_id of the first event pushed into the chunk since it was last
     // empty: a bound above every id in earlier chunks and at or below every
     // id in this one, however many of its events are erased.
     int first_id = 0;
   };
+  /// Where operator[] found its event: chunk and position in it.
+  struct Place {
+    std::size_t chunk = 0;
+    std::size_t pos = 0;
+  };
 
   void add_chunk();
+  /// The chunk and position of `msg_id`, found by bisection.
+  [[nodiscard]] Place search(int msg_id) const;
 
   std::vector<Slot> slots_;
+  // ends_[c]: the events in chunks 0..c (parallel to slots_). An append
+  // bumps the last entry, an erase decrements its chunk's entry and every
+  // later one, and an emptied chunk's entry leaves with its slot.
+  std::vector<std::size_t> ends_;
   std::vector<std::unique_ptr<Chunk>> spare_;  // emptied, reused by add_chunk
-  std::size_t size_ = 0;
   int last_msg_id_ = -1;
   bool summaries_ = false;  // events carry summaries (full trace detail)
+  // The last operator[] result: a hint that erase() checks against the id
+  // it is given, so it can never be stale. A World and its views run on one
+  // thread, so the const lookup may write it.
+  mutable Place found_;
 };
 
 inline void EventChunks::erase(int msg_id) {
-  // The last chunk whose first_id is at most msg_id holds it.
-  auto sit = std::upper_bound(
-      slots_.begin(), slots_.end(), msg_id,
-      [](int id, const Slot& s) { return id < s.first_id; });
-  BLUNT_ASSERT(sit != slots_.begin(),
-               "pushed erase of unindexed msg " << msg_id);
-  --sit;
-  Slot& s = *sit;
-  Event* const first = s.chunk->events.data();
-  Event* const last = first + s.n;
-  Event* const it =
-      std::lower_bound(first, last, msg_id,
-                       [](const Event& e, int id) { return e.msg_id < id; });
-  BLUNT_ASSERT(it != last && it->msg_id == msg_id,
-               "pushed erase of unindexed msg " << msg_id);
-  const auto pos = static_cast<std::ptrdiff_t>(it - first);
-  std::move(it + 1, last, it);
+  Place at = found_;
+  if (at.chunk >= slots_.size() || at.pos >= chunk_size(at.chunk) ||
+      slots_[at.chunk].chunk->events[at.pos].msg_id != msg_id) {
+    at = search(msg_id);
+  }
+  const std::size_t n = chunk_size(at.chunk);
+  Chunk& chunk = *slots_[at.chunk].chunk;
+  const auto pos = static_cast<std::ptrdiff_t>(at.pos);
+  const auto end = static_cast<std::ptrdiff_t>(n);
+  std::move(chunk.events.begin() + pos + 1, chunk.events.begin() + end,
+            chunk.events.begin() + pos);
   if (summaries_) {
     // Moving the owners leaves every other summary's address, and so every
     // event's `what`, intact; the erased one is freed by the assignment.
-    auto& sums = s.chunk->summaries;
-    std::move(sums.begin() + pos + 1,
-              sums.begin() + static_cast<std::ptrdiff_t>(s.n),
-              sums.begin() + pos);
-    sums[s.n - 1].reset();
+    std::move(chunk.summaries.begin() + pos + 1,
+              chunk.summaries.begin() + end, chunk.summaries.begin() + pos);
+    chunk.summaries[n - 1].reset();
   }
-  --s.n;
-  --size_;
-  if (s.n == 0 && sit + 1 != slots_.end()) {
-    spare_.push_back(std::move(s.chunk));
-    slots_.erase(sit);
+  // Every running count from the erased event's chunk on drops by one.
+  // Blocks of four let GCC use vector ops at -O2 too, where it vectorizes
+  // no loop of unknown length.
+  std::size_t* count = ends_.data() + at.chunk;
+  std::size_t* const counts_end = ends_.data() + ends_.size();
+  for (; counts_end - count >= 4; count += 4) {
+    for (int k = 0; k < 4; ++k) --count[k];
+  }
+  for (; count != counts_end; ++count) --*count;
+  if (n == 1 && at.chunk + 1 != slots_.size()) {
+    const auto c = static_cast<std::ptrdiff_t>(at.chunk);
+    spare_.push_back(std::move(slots_[at.chunk].chunk));
+    slots_.erase(slots_.begin() + c);
+    ends_.erase(ends_.begin() + c);
   }
 }
 
@@ -147,8 +181,8 @@ class EnabledView {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  /// O(1) in the resume region; a delivery walks the sources and then the
-  /// chunks of its own source.
+  /// O(1) in the resume region; a delivery walks the sources and then
+  /// bisects its own source's chunk counts.
   [[nodiscard]] const Event& operator[](std::size_t i) const {
     if (i < nresume_) return resume_[i];
     i -= nresume_;

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,7 @@ struct HashingAdversary final : sim::Adversary {
   std::size_t choose(const sim::World& w,
                      const sim::EnabledView& ev) override {
     const std::size_t c = inner_.choose(w, ev);
+    widest_ = std::max(widest_, ev.size());
     for (const sim::Event& e : ev) {
       mix(static_cast<std::uint64_t>(static_cast<int>(e.kind)));
       mix(static_cast<std::uint64_t>(e.pid));
@@ -52,6 +54,7 @@ struct HashingAdversary final : sim::Adversary {
   }
   sim::Adversary& inner_;
   std::uint64_t h_ = 1469598103934665603ULL;
+  std::size_t widest_ = 0;  // the most events offered at one step
 };
 
 struct Outcome {
@@ -59,13 +62,15 @@ struct Outcome {
   int steps = 0;
   std::uint64_t hash = 0;  // every offered event, content included
   int partitions_healed = 0;  // fault-plan runs: heals during the run
+  std::size_t widest = 0;
 };
 
 /// Weakener over ABD^k: the headline workload. Quorum waits woken by
 /// wake_hint, pushed network deltas, no faults.
 Outcome run_weakener(int k, int n, std::uint64_t seed, sim::TraceDetail d,
-                     bool verify) {
-  sim::World w(sim::Config{.metrics = false,
+                     bool verify, int max_steps = sim::Config{}.max_steps) {
+  sim::World w(sim::Config{.max_steps = max_steps,
+                           .metrics = false,
                            .trace_detail = d,
                            .verify_enabled_index = verify},
                std::make_unique<sim::SeededCoin>(seed));
@@ -90,7 +95,7 @@ Outcome run_weakener(int k, int n, std::uint64_t seed, sim::TraceDetail d,
   sim::UniformAdversary uni(seed * 31 + 7);
   HashingAdversary adv(uni);
   const sim::RunResult res = w.run(adv);
-  return {res.status, res.steps, adv.h_};
+  return {res.status, res.steps, adv.h_, 0, adv.widest_};
 }
 
 /// Chaos world: fault plan (crashes, partitions, loss, duplication, ticks)
@@ -262,6 +267,139 @@ TEST(EnabledIndex, ViewMatchesRescanElementByElement) {
   EXPECT_EQ(view[6].kind, sim::Event::Kind::kTick);
   expect_view_matches_rescan(small, view);
   EXPECT_EQ(view.with_crashes_index(3), 6u);
+}
+
+TEST(EnabledIndex, ThousandWideWorldMatchesRescanOracle) {
+  // n = 1024, the width of perfbench's wide_n and n_sweep's widest group:
+  // over the first few thousand steps each network's cache holds over a
+  // thousand deliverables in dozens of chunks, most of them part-drained,
+  // so lookups and erases land deep in the chunk table.
+  constexpr int kSteps = 3200;
+  const Outcome off = run_weakener(2, 1024, 8, sim::TraceDetail::kNone,
+                                   /*verify=*/false, kSteps);
+  const Outcome on = run_weakener(2, 1024, 8, sim::TraceDetail::kNone,
+                                  /*verify=*/true, kSteps);
+  EXPECT_EQ(off.status, sim::RunStatus::kStepBudgetExhausted);
+  EXPECT_EQ(on.status, off.status);
+  EXPECT_EQ(on.steps, kSteps);
+  EXPECT_EQ(on.hash, off.hash);
+  EXPECT_GT(on.widest, 16 * sim::EventChunks::kChunkSize);
+}
+
+/// The expected label of message `id` in the EventChunks test below.
+std::string chunk_label(int id) {
+  std::string label = "m";
+  label += std::to_string(id);
+  return label;
+}
+
+/// Checks every element of `chunks` against `ref`, through the chunk
+/// cursor and through operator[].
+void expect_chunks_equal(const sim::EventChunks& chunks,
+                         const std::vector<sim::Event>& ref,
+                         bool summaries) {
+  ASSERT_EQ(chunks.size(), ref.size());
+  std::size_t i = 0;
+  for (std::size_t c = 0; c < chunks.chunk_count(); ++c) {
+    // Only the last chunk may be empty.
+    if (c + 1 < chunks.chunk_count()) {
+      ASSERT_GT(chunks.chunk_size(c), 0u);
+    }
+    for (std::size_t j = 0; j < chunks.chunk_size(c); ++j, ++i) {
+      ASSERT_LT(i, ref.size());
+      const sim::Event& e = chunks.chunk_data(c)[j];
+      ASSERT_EQ(e.msg_id, ref[i].msg_id) << "chunk " << c << " slot " << j;
+      if (summaries) {
+        ASSERT_EQ(e.what, chunk_label(e.msg_id));
+      }
+    }
+  }
+  ASSERT_EQ(i, ref.size());
+  for (std::size_t k = 0; k < ref.size(); k += 7) {
+    ASSERT_EQ(chunks[k].msg_id, ref[k].msg_id) << "index " << k;
+  }
+}
+
+TEST(EventChunks, MatchesSortedVectorUnderSeededOperations) {
+  // A differential run against a plain msg_id-sorted vector: ascending
+  // appends in broadcast-sized bursts, erases at random positions (right
+  // after an operator[] of the same event, and with no lookup at all),
+  // operator[] at random indices, and clear() with chunk recycling. Round 0
+  // fills past 200 chunks, drains to half and clears; round 1 refills from
+  // the recycled chunks and drains to empty, so chunks empty and leave the
+  // table at every position.
+  constexpr std::size_t kHigh = 13000;
+  for (const bool summaries : {false, true}) {
+    SCOPED_TRACE(summaries ? "with summaries" : "without summaries");
+    sim::EventChunks chunks;
+    std::vector<sim::Event> ref;
+    std::mt19937_64 rng(summaries ? 2 : 1);
+    const auto below = [&rng](std::size_t n) {
+      return static_cast<std::size_t>(rng() % n);
+    };
+    int next_id = 0;
+    int ops = 0;
+    int hinted_erases = 0;
+    int blind_erases = 0;
+    std::size_t max_chunks = 0;
+    for (int round = 0; round < 2; ++round) {
+      const std::size_t drain_to = round == 0 ? kHigh / 2 : 0;
+      bool filling = true;
+      for (;; ++ops) {
+        if (filling && ref.size() >= kHigh) filling = false;
+        if (!filling && ref.size() <= drain_to) break;
+        const std::size_t r = below(1000);
+        if (r < (filling ? 100u : 3u)) {
+          const std::size_t burst = 1 + below(128);
+          for (std::size_t b = 0; b < burst; ++b) {
+            next_id += 1 + static_cast<int>(below(3));
+            const sim::Event e{sim::Event::Kind::kDeliver, next_id % 7, 0,
+                               next_id, {}};
+            chunks.push_back(e, summaries ? std::make_unique<std::string>(
+                                                chunk_label(next_id))
+                                          : nullptr);
+            ref.push_back(e);
+          }
+        } else if (r < 700 && !ref.empty()) {
+          const std::size_t i = below(ref.size());
+          if (r < 400) {
+            const sim::Event& e = chunks[i];
+            ASSERT_EQ(e.msg_id, ref[i].msg_id) << "op " << ops;
+            chunks.erase(e.msg_id);
+            ++hinted_erases;
+          } else {
+            chunks.erase(ref[i].msg_id);
+            ++blind_erases;
+          }
+          ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+        } else if (!ref.empty()) {
+          const std::size_t i = below(ref.size());
+          const sim::Event& e = chunks[i];
+          ASSERT_EQ(e.msg_id, ref[i].msg_id) << "op " << ops;
+          if (summaries) {
+            ASSERT_EQ(e.what, chunk_label(e.msg_id));
+          }
+        }
+        max_chunks = std::max(max_chunks, chunks.chunk_count());
+        if (ops % 997 == 0) {
+          ASSERT_NO_FATAL_FAILURE(expect_chunks_equal(chunks, ref, summaries))
+              << "op " << ops;
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_chunks_equal(chunks, ref, summaries));
+      if (round == 0) {
+        chunks.clear();
+        ref.clear();
+        ASSERT_NO_FATAL_FAILURE(expect_chunks_equal(chunks, ref, summaries));
+        // A cleared cache is refilled from the source's lowest live id.
+        next_id = static_cast<int>(below(1000));
+      }
+    }
+    EXPECT_GE(ops, 20000);
+    EXPECT_GE(max_chunks, 200u);
+    EXPECT_GE(hinted_erases, 5000);
+    EXPECT_GE(blind_erases, 5000);
+  }
 }
 
 TEST(EnabledIndex, WiderQuorumsMatchRescanOracle) {

@@ -10,7 +10,9 @@
 // to golden fingerprints captured from the pre-refactor seed kernel, at all
 // three detail levels, with the deterministic profiler (sim::Config::profile)
 // off and on. They also pin the fixed-seed step totals that perfbench's
-// fidelity self-test checks (perfbench/sim_workloads.cpp).
+// fidelity self-test checks (perfbench/sim_workloads.cpp), and check that a
+// weakener at n = 10^4 completes within the step budget the builder scales
+// with n.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -317,6 +319,18 @@ TEST(HotpathDeterminism, FixedSeedStepTotalsArePinned) {
   EXPECT_EQ(fixed_seed_steps(/*k=*/1, /*n=*/3, /*runs=*/3000), 297292);
   EXPECT_EQ(fixed_seed_steps(/*k=*/2, /*n=*/3, /*runs=*/1500), 229722);
   EXPECT_EQ(fixed_seed_steps(/*k=*/2, /*n=*/1000, /*runs=*/2), 73317);
+}
+
+TEST(WideWeakener, TenThousandReplicasComplete) {
+  // About 366k steps: more than the default step budget, which the builder
+  // scales with n.
+  adversary::McInstance inst = exp::make_abd_weakener(
+      /*coin_seed=*/1, /*k=*/2, /*num_processes=*/10000, /*metrics=*/false,
+      sim::TraceDetail::kNone);
+  sim::UniformAdversary adv(2);
+  const sim::RunResult res = inst.world->run(adv);
+  EXPECT_EQ(res.status, sim::RunStatus::kCompleted);
+  EXPECT_GT(res.steps, sim::Config{}.max_steps);
 }
 
 }  // namespace

@@ -232,5 +232,104 @@ TEST(Network, InTransitCountSkipsTombstones) {
   expect_pending_is_live();
 }
 
+TEST(Network, DeliversByIdAcrossCompactionsAndCrashDrops) {
+  // Deliveries by id, not by enumeration position: after compactions have
+  // dropped tombstones (so the stored ids have gaps), after a crash has
+  // tombstoned a whole recipient's messages, and always including the
+  // oldest id still stored. With no fault layer, ids are 0, 1, 2, ... and
+  // each message's tag is its id.
+  Network<Msg> net("n", 3, nullptr);
+  std::vector<int> got;
+  for (Pid pid = 0; pid < 3; ++pid) {
+    net.set_handler(pid, [&got](Pid, Pid, const Msg& m) {
+      got.push_back(m.tag);
+    });
+  }
+  std::set<int> live;
+  int next = 0;
+  // Sends `count` messages among the processes in `pids`, so a message to
+  // a crashed process is never sent (it would take no id).
+  const auto send = [&](int count, std::vector<Pid> pids) {
+    for (int i = 0; i < count; ++i, ++next) {
+      const Pid pid = pids[static_cast<std::size_t>(next) % pids.size()];
+      net.send(pid, pid, {next});
+      live.insert(next);
+    }
+  };
+  const auto deliver = [&](int id) {
+    net.deliver(id);
+    ASSERT_FALSE(got.empty());
+    EXPECT_EQ(got.back(), id);
+    live.erase(id);
+    EXPECT_EQ(net.in_transit_count(), static_cast<int>(live.size()));
+  };
+  const auto expect_enumerates_live = [&] {
+    std::vector<sim::PendingDelivery> pending;
+    net.enumerate(pending, true);
+    std::vector<int> ids;
+    for (const sim::PendingDelivery& d : pending) ids.push_back(d.msg_id);
+    EXPECT_EQ(ids, std::vector<int>(live.begin(), live.end()));
+  };
+
+  send(60, {0, 1, 2});
+  // Every third id from 0 up, and the newest: 21 tombstones against 39 live
+  // envelopes, not yet compacted.
+  for (int id = 0; id < 60; id += 3) deliver(id);
+  deliver(59);
+  expect_enumerates_live();
+  // The tenth delivery of ids 30-58 leaves more dead envelopes than live
+  // ones and compacts: the stored ids now start at 1, with gaps.
+  for (int id = 30; id < 59; ++id) {
+    if (live.count(id) != 0) deliver(id);
+  }
+  expect_enumerates_live();
+  deliver(*live.begin());  // the oldest stored id, 1
+  deliver(*live.begin());
+  deliver(*live.rbegin());
+  expect_enumerates_live();
+
+  // Newer ids after the gaps, delivered newest first.
+  send(40, {0, 1, 2});
+  for (int i = 0; i < 10; ++i) deliver(*live.rbegin());
+  expect_enumerates_live();
+
+  // p1's messages are dropped; the survivors stay deliverable by id.
+  net.on_crash(1);
+  std::erase_if(live, [](int id) { return id % 3 == 1; });
+  EXPECT_EQ(net.in_transit_count(), static_cast<int>(live.size()));
+  expect_enumerates_live();
+  while (!live.empty()) {
+    deliver(live.size() % 2 == 0 ? *live.begin() : *live.rbegin());
+    if (live.size() % 5 == 0) expect_enumerates_live();
+  }
+  EXPECT_EQ(net.in_transit_count(), 0);
+  EXPECT_EQ(net.messages_delivered(), static_cast<int>(got.size()));
+
+  // Ids sent after everything was delivered and compacted.
+  send(12, {0, 2});
+  deliver(next - 12);
+  deliver(next - 1);
+  expect_enumerates_live();
+}
+
+TEST(NetworkDeathTest, DeliverOfUnknownOrDeliveredIdAborts) {
+  Network<Msg> net("n", 2, nullptr);
+  net.set_handler(1, [](Pid, Pid, const Msg&) {});
+  for (int i = 0; i < 20; ++i) net.send(0, 1, {i});
+  net.deliver(4);
+  EXPECT_DEATH(net.deliver(4), "deliver of unknown msg 4");
+  EXPECT_DEATH(net.deliver(20), "deliver of unknown msg 20");
+  EXPECT_DEATH(net.deliver(-1), "deliver of unknown msg -1");
+  // Delivering id 10 leaves 11 tombstones against 9 live envelopes and
+  // compacts: ids below 11 are no longer stored, and 11 is then a tombstone.
+  for (int id = 0; id < 12; ++id) {
+    if (id != 4) net.deliver(id);
+  }
+  EXPECT_EQ(net.in_transit_count(), 8);
+  EXPECT_DEATH(net.deliver(0), "deliver of unknown msg 0");
+  EXPECT_DEATH(net.deliver(11), "deliver of unknown msg 11");
+  net.deliver(12);
+}
+
 }  // namespace
 }  // namespace blunt::net
