@@ -64,7 +64,8 @@ void trial(const TrialContext& ctx, Accumulator& acc) {
     const lin::History h = lin::History::from_world(*w).project_object(
         snap.object_id());
     lin::SnapshotSpec spec(3);
-    if (lin::check_prefix_chain(h, spec, snap.preamble_mapping()).ok) {
+    if (certified_tail_strong(
+            lin::PrefixTree::chain_of(h, snap.preamble_mapping()), spec)) {
       ++acc.counter(key("chains_ok", k));
     }
   }

@@ -68,7 +68,8 @@ void vitanyi_part(obs::BenchReport& report) {
         lin::RegisterSpec spec;
         const lin::History h =
             lin::History::from_world(*w).project_object(r.object_id());
-        if (lin::check_prefix_chain(h, spec, r.preamble_mapping()).ok) {
+        if (certified_tail_strong(
+                lin::PrefixTree::chain_of(h, r.preamble_mapping()), spec)) {
           ++chains_ok;
         }
       }
@@ -151,7 +152,8 @@ void israeli_li_part(obs::BenchReport& report) {
       if (lin::check_linearizable(h, spec).linearizable) ++lin_ok;
       if (seed < 25) {
         ++chains;
-        if (lin::check_prefix_chain(h, spec, reg.preamble_mapping()).ok) {
+        if (certified_tail_strong(
+                lin::PrefixTree::chain_of(h, reg.preamble_mapping()), spec)) {
           ++chains_ok;
         }
       }

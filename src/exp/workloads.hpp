@@ -17,6 +17,7 @@
 #include "exp/experiment.hpp"
 #include "lin/check.hpp"
 #include "lin/history.hpp"
+#include "lin/strong.hpp"
 #include "objects/abd.hpp"
 #include "obs/coverage.hpp"
 #include "obs/fingerprint.hpp"
@@ -49,6 +50,35 @@ inline bool certified_linearizable(const sim::World& w,
                  "Wing-Gong witness fails validation: " << why);
   }
   return r.linearizable;
+}
+
+/// Tail-strong verdict on `tree`. Every "yes" is certified: each node's
+/// order must pass lin::validate_linearization against that node's history
+/// and extend its parent's order, and a certificate that does not is a
+/// checker bug, so the run aborts.
+inline bool certified_tail_strong(const lin::PrefixTree& tree,
+                                  const lin::SequentialSpec& spec) {
+  const lin::StrongCheckResult r = lin::check_prefix_tree(tree, spec);
+  if (!r.ok) return false;
+  const auto orders = [&r](int node) -> const std::vector<InvocationId>& {
+    return r.linearizations[static_cast<std::size_t>(node)];
+  };
+  BLUNT_ASSERT(r.linearizations.size() == static_cast<std::size_t>(tree.size()),
+               "tail-strong certificate has " << r.linearizations.size()
+                   << " orders for " << tree.size() << " nodes");
+  for (int n = 0; n < tree.size(); ++n) {
+    std::string why;
+    BLUNT_ASSERT(
+        lin::validate_linearization(tree.node(n).h, spec, orders(n), &why),
+        "tail-strong order of node " << n << " fails validation: " << why);
+    if (n == 0) continue;
+    const std::vector<InvocationId>& up = orders(tree.node(n).parent);
+    BLUNT_ASSERT(up.size() <= orders(n).size() &&
+                     std::equal(up.begin(), up.end(), orders(n).begin()),
+                 "tail-strong order of node " << n
+                     << " does not extend its parent's");
+  }
+  return true;
 }
 
 /// Weakener over ABD^k registers, coin seeded for Monte-Carlo trials.
@@ -146,11 +176,12 @@ inline void merge_probe(obs::BenchReport& report, obs::MetricsSnapshot s) {
   report.merge_registry(s);
 }
 
-/// Probability reporting convention (consumed by obs::compare and the
-/// baseline gate): a Bernoulli metric `K` always travels with `K_lo`,
-/// `K_hi` (Wilson 95% interval) and `K_trials`, so the comparator never has
-/// to guess sample sizes. The headline `bad_probability` additionally gets
-/// the plain `trials` key.
+/// Probability reporting convention: a Bernoulli metric `K` always travels
+/// with `K_lo`, `K_hi` (Wilson 95% interval) and `K_trials`, so a reader
+/// never has to guess sample sizes. The headline `bad_probability`
+/// additionally gets the plain `trials` key, and its `_lo` is what the
+/// Theorem 4.2 watchdog (obs::check_thm42_bound) holds against the bound.
+/// The baseline gate compares every one of these keys exactly.
 inline void set_bernoulli_metric(obs::BenchReport& report,
                                  const std::string& key,
                                  std::int64_t successes, std::int64_t trials) {
@@ -171,7 +202,8 @@ inline void set_bernoulli_metric(obs::BenchReport& report,
 }
 
 /// Analytic / exactly-solved probabilities carry a degenerate interval and
-/// `_trials` = 0 (the marker for "not a sample — any drift is significant").
+/// `_trials` = 0, the marker for "not a sample", so they read like sampled
+/// ones and the watchdog finds their `_lo` where it finds a sampled one's.
 inline void set_exact_probability(obs::BenchReport& report,
                                   const std::string& key, double value) {
   report.set_metric(key, value);
@@ -183,9 +215,11 @@ inline void set_exact_probability(obs::BenchReport& report,
 
 /// Declares the report's blunting instance for the Theorem 4.2 watchdog:
 /// obs::check_thm42_bound recomputes the closed-form bound from (k, r, n,
-/// Prob[O], Prob[O_a]) and hard-fails any report whose empirical
-/// bad_probability Wilson interval lies above it. `empirical_bad` feeds the
-/// bound_margin headline (how much slack the measurement leaves).
+/// Prob[O], Prob[O_a]) and fails any report whose `bad_probability_lo`
+/// lies above it or whose `bound_value` disagrees with it, so the report
+/// must also carry `bad_probability` through set_bernoulli_metric or
+/// set_exact_probability. `empirical_bad` feeds the bound_margin headline
+/// (how much slack the measurement leaves).
 inline void set_thm42_instance(obs::BenchReport& report, int k, int r, int n,
                                double prob_lin, double prob_atomic,
                                double empirical_bad) {
@@ -309,9 +343,13 @@ inline void report_coverage(obs::BenchReport& report, const Accumulator& acc,
 // which profiles every trial). record_profile is the one call a
 // trial body makes after a profiled run; report_profile is the one call
 // finalize makes to publish the merged snapshots: exact counters become
-// `profile.<name>.<counter>` integer metrics (noise-free regression
-// surface), advisory phase timings go to timings_ms, and the full structured
-// snapshots land in the report's optional "profile" section.
+// `profile.<name>.<counter>` integer metrics (so the baseline gate compares
+// them), advisory phase timings go to timings_ms, and the full structured
+// snapshots land in the report's optional "profile" section. The
+// allocation tallies (`alloc_calls`, `bytes_allocated`) stay out of
+// `metrics`: they count the standard library's own allocations, so they
+// move with its build, not only with this code. They stay in the profile
+// section and on the console.
 
 /// Folds one profiled world into the shard accumulator. No-op when the world
 /// was built without Config::profile, so unconditional call sites stay on
@@ -340,7 +378,10 @@ inline void report_profile(obs::BenchReport& report, const Accumulator& acc) {
     for (int c = 0; c < obs::kNumCounters; ++c) {
       const auto counter = static_cast<obs::ProfCounter>(c);
       const std::int64_t v = snap.counter(counter);
-      if (v == 0) continue;
+      if (v == 0 || counter == obs::ProfCounter::kAllocCalls ||
+          counter == obs::ProfCounter::kBytesAllocated) {
+        continue;
+      }
       report.set_metric_int(
           "profile." + name + "." + obs::counter_name(counter), v);
     }

@@ -84,10 +84,8 @@ bool FaultInjector::on_step(sim::World& w) {
         trace_->append(
             {.pid = -1,
              .kind = sim::StepKind::kFault,
-             .what = trace_->wants_what()
-                         ? "partition open " +
-                               mask_to_string(p.side_mask, plan_.num_processes)
-                         : std::string(),
+             .what = "partition open " +
+                     mask_to_string(p.side_mask, plan_.num_processes),
              .inv = -1,
              .value = {}});
       } else {
@@ -103,10 +101,8 @@ bool FaultInjector::on_step(sim::World& w) {
         trace_->append(
             {.pid = -1,
              .kind = sim::StepKind::kFault,
-             .what = trace_->wants_what()
-                         ? "partition heal " +
-                               mask_to_string(p.side_mask, plan_.num_processes)
-                         : std::string(),
+             .what = "partition heal " +
+                     mask_to_string(p.side_mask, plan_.num_processes),
              .inv = -1,
              .value = {}});
       } else {

@@ -32,7 +32,7 @@ sim::Task<sim::Value> BaseRegister::read(sim::Proc p, InvocationId inv) {
   if (trace.recording()) {
     trace.append({.pid = p.pid(),
                   .kind = sim::StepKind::kRegisterRead,
-                  .what = trace.wants_what() ? name_ : std::string(),
+                  .what = name_,
                   .inv = inv,
                   .value = v});
   } else {
@@ -51,7 +51,7 @@ sim::Task<void> BaseRegister::write(sim::Proc p, sim::Value v,
   if (trace.recording()) {
     trace.append({.pid = p.pid(),
                   .kind = sim::StepKind::kRegisterWrite,
-                  .what = trace.wants_what() ? name_ : std::string(),
+                  .what = name_,
                   .inv = inv,
                   .value = std::move(v)});
   } else {

@@ -30,10 +30,8 @@ class FaaRegister {
     if (trace.recording()) {
       trace.append({.pid = p.pid(),
                     .kind = sim::StepKind::kRegisterWrite,
-                    .what = trace.wants_what()
-                                ? name_ + ".faa " + std::to_string(old) +
-                                      "->" + std::to_string(value_)
-                                : std::string(),
+                    .what = name_ + ".faa " + std::to_string(old) + "->" +
+                            std::to_string(value_),
                     .inv = inv,
                     .value = sim::Value(old)});
     } else {
@@ -50,7 +48,7 @@ class FaaRegister {
     if (trace.recording()) {
       trace.append({.pid = p.pid(),
                     .kind = sim::StepKind::kRegisterRead,
-                    .what = trace.wants_what() ? name_ : std::string(),
+                    .what = name_,
                     .inv = inv,
                     .value = sim::Value(v)});
     } else {

@@ -49,8 +49,7 @@ class TypedRegister {
     if (trace.recording()) {
       trace.append({.pid = p.pid(),
                     .kind = sim::StepKind::kRegisterRead,
-                    .what = trace.wants_what() ? name_ + " " + v.summary()
-                                               : std::string(),
+                    .what = name_ + " " + v.summary(),
                     .inv = inv,
                     .value = {}});
     } else {
@@ -69,8 +68,7 @@ class TypedRegister {
     if (trace.recording()) {
       trace.append({.pid = p.pid(),
                     .kind = sim::StepKind::kRegisterWrite,
-                    .what = trace.wants_what() ? name_ + " " + value_.summary()
-                                               : std::string(),
+                    .what = name_ + " " + value_.summary(),
                     .inv = inv,
                     .value = {}});
     } else {
@@ -90,9 +88,7 @@ class TypedRegister {
     if (trace.recording()) {
       trace.append({.pid = p.pid(),
                     .kind = sim::StepKind::kRegisterWrite,
-                    .what = trace.wants_what()
-                                ? name_ + ".swap -> " + value_.summary()
-                                : std::string(),
+                    .what = name_ + ".swap -> " + value_.summary(),
                     .inv = inv,
                     .value = {}});
     } else {

@@ -130,10 +130,8 @@ class Network final : public sim::DeliverySource {
         if (trace_->recording()) {
           trace_->append({.pid = from,
                           .kind = sim::StepKind::kFault,
-                          .what = trace_->wants_what()
-                                      ? name_ + "→p" + std::to_string(to) +
-                                            " LOST " + msg.summary()
-                                      : std::string(),
+                          .what = name_ + "→p" + std::to_string(to) +
+                                  " LOST " + msg.summary(),
                           .inv = -1,
                           .value = {}});
         } else {
@@ -150,11 +148,8 @@ class Network final : public sim::DeliverySource {
           trace_->append({.pid = from,
                           .kind = copy == 0 ? sim::StepKind::kSend
                                             : sim::StepKind::kFault,
-                          .what = trace_->wants_what()
-                                      ? name_ + "→p" + std::to_string(to) +
-                                            (copy == 0 ? " " : " DUP ") +
-                                            msg.summary()
-                                      : std::string(),
+                          .what = name_ + "→p" + std::to_string(to) +
+                                  (copy == 0 ? " " : " DUP ") + msg.summary(),
                           .inv = -1,
                           .value = {}});
         } else {
@@ -166,7 +161,7 @@ class Network final : public sim::DeliverySource {
         if (duplicated_counter_ != nullptr) duplicated_counter_->inc();
       }
       const bool deliverable = world() != nullptr && !severed(from, to);
-      std::string summary = deliverable && world()->wants_what()
+      std::string summary = deliverable && world()->trace().recording()
                                 ? name_ + " " + msg.summary() + " from p" +
                                       std::to_string(from)
                                 : std::string();

@@ -216,9 +216,7 @@ void AbdRegister::ResendSource::deliver(int msg_id) {
   if (trace.recording()) {
     trace.append({.pid = t.client,
                   .kind = sim::StepKind::kFault,
-                  .what = trace.wants_what()
-                              ? reg_->name_ + " resend " + t.msg.summary()
-                              : std::string(),
+                  .what = reg_->name_ + " resend " + t.msg.summary(),
                   .inv = -1,
                   .value = {}});
   } else {

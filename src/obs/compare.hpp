@@ -1,37 +1,26 @@
-// Statistical comparison of bench reports — the baseline gate's brain.
+// Exact comparison of bench reports — the baseline gate's judge.
 //
-// Given a baseline and a current report of the same bench, every comparable
-// quantity is classified as improved / regressed / neutral with the
-// statistical evidence attached:
+// A report's `metrics` and `registry` sections are pure functions of
+// (experiment, seed, trials): the engine's merge is bit-identical for every
+// thread count and every host, so a rerun at the committed settings must
+// reproduce the committed file exactly. compare_reports is therefore a diff,
+// not a classifier: no tolerance, no direction, no noise floor. It names
 //
-//   * Bernoulli metrics (bad probabilities, violation rates) use Wilson 95%
-//     interval overlap: a verdict other than neutral requires DISJOINT
-//     intervals, so small-sample jitter can never fail the gate. A metric
-//     `K` is Bernoulli when it carries `K_lo` / `K_hi` companions (written
-//     by exp::set_bernoulli_metric / set_exact_probability). Lower is
-//     better by convention — these are bad-outcome probabilities.
-//   * exact values: `K_trials` = 0 on both sides marks an analytic or
-//     exactly solved value with a degenerate interval, a `*_exact` string
-//     holds such a value as a rational ("5/8"), and a metric that is a JSON
-//     integer in both reports is a seeded count (steps, runs, states
-//     visited). Any change to any of them, in either direction, is a
-//     regression;
-//   * other numeric metrics with no interval evidence compare as scalars:
-//     drift of a lower-is-better key is a verdict, any other change is
-//     informational; boolean metrics are invariant flags;
-//   * registry counters use relative deltas over a noise floor; message /
-//     step / retransmission counts growing past it is a regression.
+//   * a key that only one side has,
+//   * an array of a different length,
+//   * a leaf whose dump() text differs — so `1` against `1.0` counts, and
+//     so does any changed bit of a double.
 //
-// Wall-clock timings_ms are never compared: the committed baselines come
-// from another host, where a timing says nothing about this build.
+// `timings_ms`, `environment`, `profile` and `coverage` are never compared:
+// they hold wall clocks, provenance and optional instrumentation.
 //
 // The Theorem 4.2 bound watchdog rides along: a report that declares its
 // blunting instance (`thm42_k`, `thm42_r`, `thm42_n`, `thm42_prob_lin`,
-// `thm42_prob_atomic`) has its empirical `bad_probability` checked against
-// the closed-form bound of Section 4.2. A Wilson interval lying entirely on
-// the wrong side of the bound is a HARD FAILURE (kBoundViolated), not a mere
-// regression — it means the measurement contradicts the theorem (or the
-// implementation no longer satisfies its hypotheses).
+// `thm42_prob_atomic`) fails when its `bad_probability_lo` lies above the
+// closed-form bound of Section 4.2, or when its `bound_value` disagrees with
+// that bound. Either means the measurement contradicts the theorem (or the
+// implementation no longer satisfies its hypotheses), whatever the baseline
+// says.
 #pragma once
 
 #include <string>
@@ -41,44 +30,29 @@
 
 namespace blunt::obs {
 
-enum class Verdict {
-  kImproved,
-  kNeutral,
-  kRegressed,
-  kBoundViolated,  // Theorem 4.2 watchdog: empirical estimate beats the bound
+/// One way a report fails its gate. `path` names the value, dotted, with
+/// array elements by index ("metrics.weakener_bounds[1].bound",
+/// "registry.counters.net.messages_delivered"). `baseline` and `current`
+/// hold each side's dump() text, empty for a side that lacks the key, or
+/// "array of N" for arrays of different lengths. A watchdog failure puts
+/// what the theorem allows in `baseline`.
+struct Difference {
+  std::string path;
+  std::string baseline;
+  std::string current;
 };
 
-[[nodiscard]] const char* to_string(Verdict v);
+/// "path: baseline -> current", with "(absent)" for a missing side.
+[[nodiscard]] std::string to_string(const Difference& d);
 
-struct MetricComparison {
-  std::string bench;
-  std::string metric;  // dotted path, e.g. "metrics.bad_probability"
-  std::string kind;    // "bernoulli" | "exact" | "counter" | "scalar" |
-                       // "flag" | "bound"
-  Verdict verdict = Verdict::kNeutral;
-  double baseline = 0.0;
-  double current = 0.0;
-  std::string evidence;  // human-readable justification
-};
+/// Every difference between the `metrics` and `registry` sections of two
+/// full blunt-bench-report documents, then the watchdog's findings on
+/// `current`. Empty means the gate passes.
+[[nodiscard]] std::vector<Difference> compare_reports(const Json& baseline,
+                                                      const Json& current);
 
-struct CompareResult {
-  std::vector<MetricComparison> comparisons;
-
-  [[nodiscard]] bool has_regression() const;
-  [[nodiscard]] bool has_bound_violation() const;
-};
-
-/// Classifies every metric and registry counter of `current` against
-/// `baseline` (both full blunt-bench-report documents of the same bench) and
-/// runs the bound watchdog on `current`.
-[[nodiscard]] CompareResult compare_reports(const Json& baseline,
-                                            const Json& current);
-
-/// The Theorem 4.2 watchdog alone (no baseline needed): empty vector when
-/// the report declares no blunting instance; one "bound" comparison row —
-/// kBoundViolated or kNeutral — otherwise. Also cross-checks the report's
-/// stored `bound_value` against the recomputed closed form.
-[[nodiscard]] std::vector<MetricComparison> check_thm42_bound(
-    const Json& report);
+/// The Theorem 4.2 watchdog alone: empty when the report declares no
+/// blunting instance or satisfies its bound.
+[[nodiscard]] std::vector<Difference> check_thm42_bound(const Json& report);
 
 }  // namespace blunt::obs

@@ -5,8 +5,9 @@
 //
 //   * EXACT WORK COUNTERS (events scanned, quorum-map touches, memo
 //     probes/hits, bytes allocated, ...) — pure functions of the executed
-//     trials, so they merge bit-identically across --threads N and can be
-//     regression-gated like any other exact metric.
+//     trials, so they merge bit-identically across --threads N. All but the
+//     allocation tallies, which also count the standard library's own
+//     allocations, are gated like any other exact metric.
 //   * ADVISORY PHASE TIMERS (scoped RAII, steady_clock) — wall-clock cost
 //     per subsystem, arranged in a fixed hierarchy for flamegraph export.
 //     Timings are advisory exactly like the engine's timings_ms: two runs

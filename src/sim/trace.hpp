@@ -20,17 +20,16 @@
 
 namespace blunt::sim {
 
-/// How much of the execution record the World materializes. Every level
-/// appends the SAME entries in the SAME order — the dense entry index (and
+/// Whether the World materializes the execution record. Both levels
+/// number the SAME entries in the SAME order — the dense entry index (and
 /// therefore every call_pos / ret_pos / line-pass position the lin module
-/// consumes) is identical at every level; only the stored payload varies.
+/// consumes) is identical at both; only whether entries are stored varies.
 /// Monte-Carlo soaks run at kNone, where the hot path formats and stores
 /// nothing; replay tooling (scripted adversaries, the explorer, the shrinker)
 /// matches on formatted `what` labels and needs kFull.
 enum class TraceDetail {
-  kNone,   // count entries only: no storage, no formatted strings
-  kKinds,  // store entries (pid/kind/inv/value) but skip `what` strings
-  kFull,   // store everything (the historical default; byte-identical traces)
+  kNone,  // count entries only: no storage, no formatted strings
+  kFull,  // store everything (the historical default; byte-identical traces)
 };
 
 enum class StepKind {
@@ -114,10 +113,10 @@ class Trace {
 
   void set_detail(TraceDetail d) { detail_ = d; }
   [[nodiscard]] TraceDetail detail() const { return detail_; }
-  /// Whether entries are stored at all (kKinds or kFull).
+  /// Whether entries, `what` labels included, are stored (kFull). Sites
+  /// format a label only inside a recording() branch, so kNone pays no
+  /// string cost on the step path.
   [[nodiscard]] bool recording() const { return detail_ != TraceDetail::kNone; }
-  /// Whether `what` strings should be formatted and stored (kFull only).
-  [[nodiscard]] bool wants_what() const { return detail_ == TraceDetail::kFull; }
 
   [[nodiscard]] const std::vector<TraceEntry>& entries() const {
     return entries_;

@@ -157,7 +157,7 @@ void World::build_rescan(
         break;
     }
   }
-  const bool want_summaries = trace_.wants_what();
+  const bool want_summaries = trace_.recording();
   for (int sid = 0; sid < static_cast<int>(sources_.size()); ++sid) {
     std::vector<PendingDelivery>& pending = bufs[sid];
     pending.clear();
@@ -257,7 +257,7 @@ void World::crash_region_erase(Pid pid) {
 
 void World::rebuild_source_cache(int sid) const {
   EventChunks& c = source_events_[sid];
-  const bool want_summaries = trace_.wants_what();
+  const bool want_summaries = trace_.recording();
   std::vector<PendingDelivery>& pending = pending_bufs_[sid];
   pending.clear();
   sources_[sid]->enumerate(pending, want_summaries);
@@ -297,8 +297,8 @@ void World::source_event_insert(int source_id, int msg_id, Pid to,
   if (source_synced_[source_id] == 0) return;
   source_events_[source_id].push_back(
       {Event::Kind::kDeliver, to, source_id, msg_id, {}},
-      trace_.wants_what() ? std::make_unique<std::string>(std::move(summary))
-                          : nullptr);
+      trace_.recording() ? std::make_unique<std::string>(std::move(summary))
+                         : nullptr);
   if (prof_) {
     prof_->count(obs::ProfCounter::kEventsScanned);
     prof_->count(obs::ProfCounter::kIndexUpdates);
@@ -421,7 +421,7 @@ void World::resume_slot(Pid pid) {
       if (trace_.recording()) {
         trace_.append({.pid = pid,
                        .kind = StepKind::kSpawn,
-                       .what = trace_.wants_what() ? s.name : std::string(),
+                       .what = s.name,
                        .inv = -1,
                        .value = {}});
       } else {
@@ -439,9 +439,7 @@ void World::resume_slot(Pid pid) {
         if (trace_.recording()) {
           trace_.append({.pid = pid,
                          .kind = StepKind::kRandom,
-                         .what = trace_.wants_what()
-                                     ? std::string(s.pending_what)
-                                     : std::string(),
+                         .what = std::string(s.pending_what),
                          .inv = s.pending_inv,
                          .value = Value(std::int64_t{s.random_value})});
         } else {
@@ -463,8 +461,7 @@ void World::resume_slot(Pid pid) {
       if (trace_.recording()) {
         trace_.append({.pid = pid,
                        .kind = StepKind::kWaitResume,
-                       .what = trace_.wants_what() ? std::string(s.pending_what)
-                                                   : std::string(),
+                       .what = std::string(s.pending_what),
                        .inv = s.pending_inv,
                        .value = {}});
       } else {
@@ -643,9 +640,7 @@ InvocationId World::begin_invocation(Pid pid, int object_id,
       trace_.recording()
           ? trace_.append({.pid = pid,
                            .kind = StepKind::kCall,
-                           .what = trace_.wants_what()
-                                       ? rec.object_name + "." + rec.method
-                                       : std::string(),
+                           .what = rec.object_name + "." + rec.method,
                            .inv = id,
                            .value = rec.argument})
           : trace_.skip();
@@ -663,9 +658,7 @@ void World::end_invocation(InvocationId id, Value result) {
       trace_.recording()
           ? trace_.append({.pid = rec.pid,
                            .kind = StepKind::kReturn,
-                           .what = trace_.wants_what()
-                                       ? rec.object_name + "." + rec.method
-                                       : std::string(),
+                           .what = rec.object_name + "." + rec.method,
                            .inv = id,
                            .value = std::move(result)})
           : trace_.skip();
@@ -686,9 +679,7 @@ void World::mark_line(InvocationId id, int line) {
       trace_.recording()
           ? trace_.append({.pid = rec.pid,
                            .kind = StepKind::kLocal,
-                           .what = trace_.wants_what()
-                                       ? "@line " + std::to_string(line)
-                                       : std::string(),
+                           .what = "@line " + std::to_string(line),
                            .inv = id,
                            .value = Value(std::int64_t{line})})
           : trace_.skip();

@@ -227,7 +227,7 @@ class World {
 
   /// Message `msg_id`, addressed to `to`, became deliverable. Inserts arrive
   /// in strictly increasing msg_id order per source. `summary` is consulted
-  /// only at full trace detail (wants_what()) and may be empty otherwise.
+  /// only while the trace is recording and may be empty otherwise.
   void source_event_insert(int source_id, int msg_id, Pid to,
                            std::string&& summary);
   /// Message `msg_id` is no longer deliverable (delivered or dropped).
@@ -249,10 +249,6 @@ class World {
   [[nodiscard]] obs::Profiler* profiler() const { return prof_.get(); }
   [[nodiscard]] const Trace& trace() const { return trace_; }
   [[nodiscard]] Trace& trace_mutable() { return trace_; }
-  /// True at full trace detail: instrumentation sites (networks, objects,
-  /// the fault layer) consult this before formatting `what` labels so the
-  /// reduced levels pay no string cost on the step path.
-  [[nodiscard]] bool wants_what() const { return trace_.wants_what(); }
   [[nodiscard]] const std::vector<InvocationRecord>& invocations() const {
     return invocations_;
   }

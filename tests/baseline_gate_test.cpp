@@ -1,11 +1,14 @@
-// The committed baselines (bench/baselines) as a tier-1 gate. Each case
-// reruns one registered experiment at the settings bench/baselines/README.md
-// fixes, finalizes its report in memory and compares it with the committed
-// BENCH_<name>.json through obs::compare_reports: Wilson-interval verdicts
-// on Bernoulli metrics, exact values, invariant flags, registry counters and
-// the Theorem 4.2 watchdog. A regressed row, a bound violation or a baseline
-// metric the report no longer writes fails the case and names the metric.
-// Every experiment but scaling_probe is gated. Nothing is written to disk.
+// The committed baselines (bench/baselines) as a tier-1 gate: the one
+// report-level gate, covering all 13 experiments. Each case reruns one
+// registered experiment at the settings bench/baselines/README.md fixes,
+// finalizes its report in memory and diffs it with the committed
+// BENCH_<name>.json through obs::compare_reports: the `metrics` and
+// `registry` sections must be equal, value for value and JSON type for JSON
+// type, and the Theorem 4.2 watchdog must hold. Every difference fails the
+// case and names its path. `BaselineGate` runs each experiment at 1 thread;
+// `ThreadCountIdentity` runs each experiment with a trial body again at 2
+// threads against the same file, so the engine's thread-count identity is
+// held by the gate too. Nothing is written to disk.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -23,21 +26,15 @@
 namespace blunt::exp {
 namespace {
 
-/// Runs the registered experiment `name` at 2 threads (`trials` -1 = its
-/// default) and returns the report its finalize hook builds.
-obs::Json run_report(const std::string& name, std::int64_t trials = -1) {
-  register_builtin_experiments();
-  const Experiment* e = find_experiment(name);
-  if (e == nullptr) {
-    ADD_FAILURE() << "experiment " << name << " is not registered";
-    return {};
-  }
+/// Runs `e` at `threads` workers (`trials` -1 = its default) and returns the
+/// report its finalize hook builds.
+obs::Json run_report(const Experiment& e, int threads, std::int64_t trials) {
   RunOptions opts;
-  opts.threads = 2;
+  opts.threads = threads;
   opts.trials = trials;
-  const RunOutput out = run_trials(*e, opts);
-  obs::BenchReport report(e->name);
-  EXPECT_EQ(e->finalize(report, out.merged, out.info), 0) << name;
+  const RunOutput out = run_trials(e, opts);
+  obs::BenchReport report(e.name);
+  EXPECT_EQ(e.finalize(report, out.merged, out.info), 0) << e.name;
   return report.to_json();
 }
 
@@ -51,35 +48,28 @@ obs::Json load_baseline(const std::string& name) {
   return obs::Json::parse(text.str());
 }
 
-/// Fails on every regressed or bound-violating row, naming its metric and
-/// evidence. A gate that compared nothing is a failure too.
-void expect_clean(const std::string& name,
-                  const std::vector<obs::MetricComparison>& rows) {
-  ASSERT_FALSE(rows.empty()) << name << ": nothing was compared";
-  int bad = 0;
-  for (const obs::MetricComparison& c : rows) {
-    if (c.verdict == obs::Verdict::kRegressed ||
-        c.verdict == obs::Verdict::kBoundViolated) {
-      ++bad;
-      ADD_FAILURE() << name << " " << c.metric << " ("
-                    << obs::to_string(c.verdict) << "): " << c.evidence;
-    }
-  }
-  std::printf("baseline gate: %s, %zu rows, %d bad\n", name.c_str(),
-              rows.size(), bad);
-}
-
-void expect_matches_baseline(const std::string& name,
-                             std::int64_t trials = -1) {
-  const obs::Json current = run_report(name, trials);
+/// Reruns experiment `name` at `threads` workers, at its gate settings, and
+/// fails on every difference between its report and the committed file.
+void expect_matches_baseline(const std::string& name, int threads = 1) {
+  register_builtin_experiments();
+  const Experiment* e = find_experiment(name);
+  ASSERT_NE(e, nullptr) << "experiment " << name << " is not registered";
   const obs::Json baseline = load_baseline(name);
-  // compare_reports calls a metric the report no longer writes neutral;
-  // the gate requires every baseline metric to still be there.
-  for (const auto& [key, value] : baseline.at("metrics").as_object()) {
-    EXPECT_NE(current.at("metrics").find(key), nullptr)
-        << name << " no longer reports metrics." << key;
+  // A gate that compares nothing is a failure too.
+  ASSERT_FALSE(baseline.at("metrics").as_object().empty()) << name;
+  // The gate settings where an experiment's default is slow: abd_k_sweep's
+  // trial space and exact solves stop at k = 2, chaos_soak runs 40 trials.
+  if (name == "abd_k_sweep") ::setenv("BLUNT_MAX_K", "2", 1);
+  const std::int64_t trials = name == "chaos_soak" ? 40 : -1;
+  const std::vector<obs::Difference> diffs =
+      obs::compare_reports(baseline, run_report(*e, threads, trials));
+  ::unsetenv("BLUNT_MAX_K");
+  for (const obs::Difference& d : diffs) {
+    ADD_FAILURE() << name << " at " << threads
+                  << " thread(s): " << obs::to_string(d);
   }
-  expect_clean(name, obs::compare_reports(baseline, current).comparisons);
+  std::printf("baseline gate: %s at %d thread(s), %zu differences\n",
+              name.c_str(), threads, diffs.size());
 }
 
 TEST(BaselineGate, Theorem42BoundMatchesBaseline) {
@@ -87,14 +77,11 @@ TEST(BaselineGate, Theorem42BoundMatchesBaseline) {
 }
 
 TEST(BaselineGate, AbdKSweepMatchesBaseline) {
-  // The baseline's trial space and exact solves stop at k = 2.
-  ::setenv("BLUNT_MAX_K", "2", 1);
   expect_matches_baseline("abd_k_sweep");
-  ::unsetenv("BLUNT_MAX_K");
 }
 
 TEST(BaselineGate, ChaosSoakMatchesBaseline) {
-  expect_matches_baseline("chaos_soak", /*trials=*/40);
+  expect_matches_baseline("chaos_soak");
 }
 
 TEST(BaselineGate, EquivalenceSoakMatchesBaseline) {
@@ -106,9 +93,15 @@ TEST(BaselineGate, SnapshotBluntingMatchesBaseline) {
 }
 
 TEST(BaselineGate, NSweepMatchesBaseline) {
-  // Per-group step and run counts are exact; the bad probabilities are
-  // Wilson-compared and the headline n1024_k2 group feeds the watchdog.
+  // Every group's step and run counts, up to n = 1024; the headline
+  // n1024_k2 group feeds the watchdog.
   expect_matches_baseline("n_sweep");
+}
+
+TEST(BaselineGate, ScalingProbeMatchesBaseline) {
+  // The profiler's exact work counters per n group; the allocation tallies
+  // stay in the report's profile section, which is not compared.
+  expect_matches_baseline("scaling_probe");
 }
 
 // The finalize-only experiments: exact solves, scripted adversaries and
@@ -136,6 +129,30 @@ TEST(BaselineGate, VitanyiIlBluntingMatchesBaseline) {
 TEST(BaselineGate, ConsensusMatchesBaseline) {
   expect_matches_baseline("consensus");
 }
+
+/// Every builtin experiment with a trial body.
+std::vector<std::string> trial_experiment_names() {
+  register_builtin_experiments();
+  std::vector<std::string> names;
+  for (const Experiment* e : list_experiments()) {
+    if (e->trial) names.push_back(e->name);
+  }
+  return names;
+}
+
+class ThreadCountIdentity : public ::testing::TestWithParam<std::string> {};
+
+/// A report's `metrics` and `registry` sections are pure functions of
+/// (experiment, seed, trials): at 2 threads they must still equal the
+/// committed file, which the experiment's `BaselineGate` case holds at 1
+/// thread. Wall clocks belong in `timings_ms`.
+TEST_P(ThreadCountIdentity, MetricsAndRegistry) {
+  expect_matches_baseline(GetParam(), 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Builtin, ThreadCountIdentity,
+                         ::testing::ValuesIn(trial_experiment_names()),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace blunt::exp

@@ -1,21 +1,26 @@
-// The statistical comparator: Wilson-overlap verdicts on hand-built report
-// pairs, counter thresholds, and the Theorem 4.2 bound watchdog.
+// The exact report diff and the Theorem 4.2 bound watchdog: hand-built
+// report pairs, and edits to the committed baselines (bench/baselines) that
+// the baseline gate must name.
 #include "obs/compare.hpp"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 
 namespace blunt::obs {
 namespace {
 
 /// Report with a Wilson-annotated Bernoulli headline, the way
-/// bench::set_bernoulli_metric writes it.
+/// exp::set_bernoulli_metric writes it.
 [[nodiscard]] Json bernoulli_report(std::int64_t successes,
                                     std::int64_t trials) {
   BenchReport r("synthetic");
@@ -30,57 +35,16 @@ namespace {
   return r.to_json();
 }
 
-[[nodiscard]] const MetricComparison* find_metric(
-    const CompareResult& r, const std::string& metric,
-    const std::string& kind) {
-  for (const auto& c : r.comparisons) {
-    if (c.metric == metric && c.kind == kind) return &c;
-  }
-  return nullptr;
-}
-
-TEST(Compare, DisjointWilsonIntervalsRegress) {
-  const Json base = bernoulli_report(10, 1000);  // ~[0.005, 0.018]
-  const Json cur = bernoulli_report(50, 1000);   // ~[0.038, 0.065]
-  const CompareResult r = compare_reports(base, cur);
-  const MetricComparison* c =
-      find_metric(r, "metrics.bad_probability", "bernoulli");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->verdict, Verdict::kRegressed);
-  EXPECT_NE(c->evidence.find("disjoint"), std::string::npos);
-  EXPECT_TRUE(r.has_regression());
-  EXPECT_FALSE(r.has_bound_violation());
-}
-
-TEST(Compare, DisjointWilsonIntervalsImproveInTheOtherDirection) {
-  const CompareResult r =
-      compare_reports(bernoulli_report(50, 1000), bernoulli_report(10, 1000));
-  const MetricComparison* c =
-      find_metric(r, "metrics.bad_probability", "bernoulli");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->verdict, Verdict::kImproved);
-  EXPECT_FALSE(r.has_regression());
-}
-
-TEST(Compare, OverlappingIntervalsStayNeutralDespiteDifferentMeans) {
-  // 5% vs 8% at n=100: the intervals overlap — sampling noise, not a verdict.
-  const CompareResult r =
-      compare_reports(bernoulli_report(5, 100), bernoulli_report(8, 100));
-  const MetricComparison* c =
-      find_metric(r, "metrics.bad_probability", "bernoulli");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->verdict, Verdict::kNeutral);
-  EXPECT_FALSE(r.has_regression());
+[[nodiscard]] std::vector<std::string> paths_of(
+    const std::vector<Difference>& diffs) {
+  std::vector<std::string> paths;
+  for (const Difference& d : diffs) paths.push_back(d.path);
+  return paths;
 }
 
 TEST(Compare, IdenticalReportsAreClean) {
   const Json j = bernoulli_report(10, 1000);
-  const CompareResult r = compare_reports(j, j);
-  EXPECT_FALSE(r.has_regression());
-  EXPECT_FALSE(r.has_bound_violation());
-  for (const auto& c : r.comparisons) {
-    EXPECT_NE(c.verdict, Verdict::kRegressed) << c.metric << ": " << c.evidence;
-  }
+  EXPECT_TRUE(compare_reports(j, j).empty());
 }
 
 /// Report with an exactly solved headline (degenerate interval, _trials =
@@ -97,51 +61,42 @@ TEST(Compare, IdenticalReportsAreClean) {
   return r.to_json();
 }
 
-/// Exact analytic values (degenerate intervals, _trials = 0): ANY drift is
-/// significant.
 TEST(Compare, ExactProbabilityDriftRegressesWithoutSamples) {
-  const CompareResult r =
+  const std::vector<Difference> d =
       compare_reports(exact_report(0.625), exact_report(0.6251));
-  const MetricComparison* c =
-      find_metric(r, "metrics.bad_probability", "bernoulli");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->verdict, Verdict::kRegressed);
+  EXPECT_EQ(paths_of(d), (std::vector<std::string>{
+                             "metrics.bad_probability",
+                             "metrics.bad_probability_hi",
+                             "metrics.bad_probability_lo"}));
+  ASSERT_FALSE(d.empty());
+  EXPECT_EQ(d[0].baseline, "0.625");
+  EXPECT_EQ(d[0].current, "0.6251");
 }
 
-/// ... and in the other direction too: an exact value that drops is not an
-/// improvement. A solver that returned 1/2 for ABD² must fail the gate.
+/// A drop is a difference too: a solver that returned 1/2 for ABD² must
+/// fail the gate.
 TEST(Compare, ExactProbabilityDropRegressesToo) {
-  const CompareResult r =
+  const std::vector<Difference> d =
       compare_reports(exact_report(0.625), exact_report(0.5));
-  const MetricComparison* c =
-      find_metric(r, "metrics.bad_probability", "bernoulli");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->verdict, Verdict::kRegressed);
-  EXPECT_TRUE(r.has_regression());
+  ASSERT_EQ(d.size(), 3u);
+  EXPECT_EQ(to_string(d[0]), "metrics.bad_probability: 0.625 -> 0.5");
 }
 
-/// A `*_exact` rational string is compared, not skipped as a payload.
 TEST(Compare, ExactRationalStringChangeRegresses) {
-  const CompareResult moved =
+  const std::vector<Difference> moved =
       compare_reports(exact_report(0.625, "5/8"), exact_report(0.625, "1/2"));
-  const MetricComparison* c =
-      find_metric(moved, "metrics.bad_probability_exact", "exact");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->verdict, Verdict::kRegressed);
-  EXPECT_NE(c->evidence.find("5/8 -> 1/2"), std::string::npos);
-  EXPECT_TRUE(moved.has_regression());
+  ASSERT_EQ(moved.size(), 1u);
+  EXPECT_EQ(moved[0].path, "metrics.bad_probability_exact");
+  EXPECT_EQ(moved[0].baseline, "\"5/8\"");
+  EXPECT_EQ(moved[0].current, "\"1/2\"");
 
-  const CompareResult same =
-      compare_reports(exact_report(0.625, "5/8"), exact_report(0.625, "5/8"));
-  c = find_metric(same, "metrics.bad_probability_exact", "exact");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->verdict, Verdict::kNeutral);
-  EXPECT_FALSE(same.has_regression());
+  EXPECT_TRUE(compare_reports(exact_report(0.625, "5/8"),
+                              exact_report(0.625, "5/8"))
+                  .empty());
 }
 
-/// A seeded count written as a JSON integer (a step total, a run count) is
-/// exact: it regresses when it moves either way, whatever its name. A
-/// double without interval evidence stays informational.
+/// Every metric is compared, whatever its name or type: an integer count
+/// and a derived double alike.
 TEST(Compare, IntegerMetricChangeRegresses) {
   const auto counted = [](std::int64_t steps, double ratio) {
     BenchReport r("synthetic");
@@ -151,52 +106,14 @@ TEST(Compare, IntegerMetricChangeRegresses) {
     return r.to_json();
   };
   for (const std::int64_t moved : {1001, 999}) {
-    const CompareResult r =
+    const std::vector<Difference> d =
         compare_reports(counted(1000, 2.5), counted(moved, 2.5));
-    const MetricComparison* c = find_metric(r, "metrics.n8_k1.steps", "exact");
-    ASSERT_NE(c, nullptr) << moved;
-    EXPECT_EQ(c->verdict, Verdict::kRegressed) << moved;
-    EXPECT_NE(c->evidence.find("1000 -> " + std::to_string(moved)),
-              std::string::npos)
-        << c->evidence;
-    EXPECT_TRUE(r.has_regression());
+    ASSERT_EQ(d.size(), 1u) << moved;
+    EXPECT_EQ(to_string(d[0]),
+              "metrics.n8_k1.steps: 1000 -> " + std::to_string(moved));
   }
-
-  const CompareResult same =
-      compare_reports(counted(1000, 2.5), counted(1000, 2.75));
-  const MetricComparison* c =
-      find_metric(same, "metrics.n8_k1.steps", "exact");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->verdict, Verdict::kNeutral);
-  c = find_metric(same, "metrics.steps_per_run", "scalar");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->verdict, Verdict::kNeutral);
-  EXPECT_FALSE(same.has_regression());
-}
-
-TEST(Compare, CounterDeltasUseRelativeThresholdWithFloor) {
-  const auto counted = [](std::int64_t msgs) {
-    BenchReport r("synthetic");
-    MetricsRegistry reg;
-    reg.counter("net.messages_sent")->inc(msgs);
-    r.merge_registry(reg.snapshot());
-    r.add_timing_ms("total", 1.0);
-    return r.to_json();
-  };
-  const CompareResult grew = compare_reports(counted(1000), counted(2000));
-  const MetricComparison* c =
-      find_metric(grew, "registry.counters.net.messages_sent", "counter");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->verdict, Verdict::kRegressed);
-
-  EXPECT_EQ(find_metric(compare_reports(counted(1000), counted(1100)),
-                        "registry.counters.net.messages_sent", "counter")
-                ->verdict,
-            Verdict::kNeutral);
-  EXPECT_EQ(find_metric(compare_reports(counted(2000), counted(1000)),
-                        "registry.counters.net.messages_sent", "counter")
-                ->verdict,
-            Verdict::kImproved);
+  EXPECT_EQ(paths_of(compare_reports(counted(1000, 2.5), counted(1000, 2.75))),
+            (std::vector<std::string>{"metrics.steps_per_run"}));
 }
 
 TEST(Compare, InvariantFlagFlipRegresses) {
@@ -206,11 +123,168 @@ TEST(Compare, InvariantFlagFlipRegresses) {
     r.add_timing_ms("total", 1.0);
     return r.to_json();
   };
-  const CompareResult r = compare_reports(flagged(true), flagged(false));
-  const MetricComparison* c =
-      find_metric(r, "metrics.all_terminated", "flag");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->verdict, Verdict::kRegressed);
+  for (const bool from : {true, false}) {
+    const std::vector<Difference> d =
+        compare_reports(flagged(from), flagged(!from));
+    ASSERT_EQ(d.size(), 1u);
+    EXPECT_EQ(d[0].path, "metrics.all_terminated");
+  }
+}
+
+TEST(Compare, KeyOnlyInCurrentReportIsADifference) {
+  BenchReport r("synthetic");
+  r.set_metric_int("runs", 8);
+  const Json base = r.to_json();
+  r.set_metric_int("coverage.schedules_unique", 5);
+  const std::vector<Difference> d = compare_reports(base, r.to_json());
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(to_string(d[0]),
+            "metrics.coverage.schedules_unique: (absent) -> 5");
+  // ... and in the other direction, a key the report no longer writes.
+  ASSERT_EQ(compare_reports(r.to_json(), base).size(), 1u);
+  EXPECT_EQ(compare_reports(r.to_json(), base)[0].current, "");
+}
+
+TEST(Compare, IntegerAgainstIntegralDoubleIsADifference) {
+  const auto with = [](const Json& v) {
+    JsonObject metrics;
+    metrics["bound_double"] = v;
+    JsonObject report;
+    report["metrics"] = Json(std::move(metrics));
+    return Json(std::move(report));
+  };
+  const std::vector<Difference> d =
+      compare_reports(with(Json(1)), with(Json(1.0)));
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(to_string(d[0]), "metrics.bound_double: 1 -> 1.0");
+}
+
+TEST(Compare, ArrayOfDifferentLengthIsOneDifference) {
+  const auto rows = [](int n) {
+    BenchReport r("synthetic");
+    JsonArray a;
+    for (int i = 0; i < n; ++i) a.emplace_back(i);
+    r.set_metric_json("rows", Json(std::move(a)));
+    return r.to_json();
+  };
+  const std::vector<Difference> d = compare_reports(rows(3), rows(2));
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(to_string(d[0]), "metrics.rows: array of 3 -> array of 2");
+}
+
+TEST(Compare, TimingsEnvironmentProfileAndCoverageAreNotCompared) {
+  const auto report = [](int v) {
+    BenchReport r("synthetic");
+    r.set_metric_int("runs", 8);
+    r.add_timing_ms("total", v);
+    r.set_environment_int("engine_threads", v);
+    r.set_profile("n4", Json(v));
+    r.set_coverage("fingerprints", Json(v));
+    return r.to_json();
+  };
+  EXPECT_TRUE(compare_reports(report(1), report(2)).empty());
+}
+
+[[nodiscard]] Json load_baseline(const std::string& name) {
+  const std::string path =
+      std::string(BLUNT_BASELINES_DIR) + "/BENCH_" + name + ".json";
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return Json::parse(text.str());
+}
+
+[[nodiscard]] JsonObject& section(Json& report, const char* name) {
+  return report.as_object()[name].as_object();
+}
+
+/// Changes to the paper's tables and numbers, each applied to an in-memory
+/// copy of a committed baseline: the diff must name exactly the edited
+/// paths, with the edited value as the baseline side.
+TEST(Compare, CommittedBaselineEditsAreNamed) {
+  struct Edit {
+    std::string bench;
+    std::function<void(Json&)> apply;
+    std::vector<std::string> paths;
+  };
+  const Interval two_of_eight = wilson_interval(2, 8);
+  const std::vector<Edit> edits = {
+      {"theorem42_bound",
+       [](Json& r) {
+         section(r, "metrics")["weakener_bounds"]
+             .as_array()[1]
+             .as_object()["bound"] = Json("3/4");
+       },
+       {"metrics.weakener_bounds[1].bound"}},
+      {"abd2_exact_game",
+       [](Json& r) {
+         section(r, "metrics")["termination_probability"] = Json(0.5);
+       },
+       {"metrics.termination_probability"}},
+      {"k_tradeoff",
+       [](Json& r) {
+         section(r, "metrics")["round_composition"]
+             .as_array()[0]
+             .as_object()["exact_atomic_bad"] = Json("5/8");
+       },
+       {"metrics.round_composition[0].exact_atomic_bad"}},
+      {"consensus",
+       [](Json& r) {
+         section(r, "metrics")["implementations"]
+             .as_array()[0]
+             .as_object()["agreement"] = Json(59);
+       },
+       {"metrics.implementations[0].agreement"}},
+      {"chaos_soak",
+       [](Json& r) { section(r, "metrics")["shrink_program"] = Json(""); },
+       {"metrics.shrink_program"}},
+      {"n_sweep",
+       [&two_of_eight](Json& r) {
+         JsonObject& m = section(r, "metrics");
+         m["n8_k1.bad_probability"] = Json(0.25);
+         m["n8_k1.bad_probability_lo"] = Json(two_of_eight.lo);
+         m["n8_k1.bad_probability_hi"] = Json(two_of_eight.hi);
+       },
+       {"metrics.n8_k1.bad_probability", "metrics.n8_k1.bad_probability_hi",
+        "metrics.n8_k1.bad_probability_lo"}},
+      {"theorem42_bound",
+       [](Json& r) {
+         Json& c = section(r, "registry")["counters"]
+                       .as_object()["net.messages_delivered"];
+         c = Json(c.as_int() * 6 / 5);
+       },
+       {"registry.counters.net.messages_delivered"}},
+      {"abd_k_sweep",
+       [](Json& r) {
+         section(r, "registry")["histograms"] = Json(JsonObject{});
+       },
+       {"registry.histograms.mc.steps_per_trial",
+        "registry.histograms.sim.invocation.latency_steps"}},
+      {"chaos_soak",
+       [](Json& r) {
+         Json& t = section(r, "metrics")["trials"];
+         t = Json(t.as_int() + 1);
+       },
+       {"metrics.trials"}},
+      {"equivalence_soak",
+       [](Json& r) {
+         Json& t = section(r, "metrics")["trials"];
+         t = Json(t.as_int() + 1);
+       },
+       {"metrics.trials"}},
+  };
+  for (const Edit& e : edits) {
+    const Json committed = load_baseline(e.bench);
+    ASSERT_TRUE(compare_reports(committed, committed).empty()) << e.bench;
+    Json edited = committed;
+    e.apply(edited);
+    const std::vector<Difference> d = compare_reports(edited, committed);
+    EXPECT_EQ(paths_of(d), e.paths) << e.bench;
+    for (const Difference& one : d) {
+      EXPECT_NE(one.baseline, one.current) << e.bench << " " << one.path;
+    }
+  }
 }
 
 /// A report declaring the weakener instance (k=2, r=1, n=3, Prob[O]=1,
@@ -231,34 +305,40 @@ TEST(Compare, InvariantFlagFlipRegresses) {
 
 TEST(BoundWatchdog, WilsonIntervalAboveBoundIsHardFailure) {
   // 950/1000: Wilson lo ~ 0.935 > 7/8 — deliberately violated bound.
-  const auto rows = check_thm42_bound(thm42_report(950, 1000));
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].verdict, Verdict::kBoundViolated);
-  EXPECT_EQ(rows[0].kind, "bound");
-  EXPECT_NE(rows[0].evidence.find("ABOVE"), std::string::npos);
+  const std::vector<Difference> d = check_thm42_bound(thm42_report(950, 1000));
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d[0].path, "metrics.bad_probability_lo");
+  EXPECT_EQ(d[0].baseline, "at most 0.875 (Theorem 4.2, k=2, r=1, n=3)");
+  EXPECT_EQ(d[0].current.substr(0, 4), "0.93");
 }
 
 TEST(BoundWatchdog, IntervalStraddlingTheBoundIsNotFlagged) {
   // 88% at n=100: interval straddles 0.875 — no definitive violation.
-  const auto rows = check_thm42_bound(thm42_report(88, 100));
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].verdict, Verdict::kNeutral);
+  EXPECT_TRUE(check_thm42_bound(thm42_report(88, 100)).empty());
 }
 
 TEST(BoundWatchdog, SatisfiedBoundReportsMargin) {
-  const auto rows = check_thm42_bound(thm42_report(600, 1000));
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].verdict, Verdict::kNeutral);
-  EXPECT_NE(rows[0].evidence.find("margin"), std::string::npos);
+  // Well inside the bound, and at zero margin: an interval whose lower end
+  // sits exactly on 7/8 does not contradict the theorem.
+  EXPECT_TRUE(check_thm42_bound(thm42_report(600, 1000)).empty());
+  JsonObject o = thm42_report(600, 1000).as_object();
+  o["metrics"].as_object()["bad_probability_lo"] = Json(0.875);
+  EXPECT_TRUE(check_thm42_bound(Json(o)).empty());
+  // A report that declares an instance must say where its interval starts.
+  o["metrics"].as_object().erase("bad_probability_lo");
+  const std::vector<Difference> d = check_thm42_bound(Json(o));
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d[0].path, "metrics.bad_probability_lo");
+  EXPECT_EQ(d[0].current, "");
 }
 
 TEST(BoundWatchdog, StoredBoundValueMustMatchClosedForm) {
   JsonObject o = thm42_report(600, 1000).as_object();
   o["metrics"].as_object()["bound_value"] = Json(0.5);  // report lies
-  const auto rows = check_thm42_bound(Json(o));
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].verdict, Verdict::kBoundViolated);
-  EXPECT_NE(rows[0].evidence.find("disagrees"), std::string::npos);
+  const std::vector<Difference> d = check_thm42_bound(Json(o));
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(to_string(d[0]),
+            "metrics.bound_value: 0.875 (Theorem 4.2, k=2, r=1, n=3) -> 0.5");
 }
 
 TEST(BoundWatchdog, SilentWithoutDeclaredInstance) {
@@ -266,13 +346,11 @@ TEST(BoundWatchdog, SilentWithoutDeclaredInstance) {
 }
 
 TEST(BoundWatchdog, RunsInsideCompareReports) {
-  const CompareResult r =
-      compare_reports(thm42_report(600, 1000), thm42_report(950, 1000));
-  EXPECT_TRUE(r.has_bound_violation());
-  const MetricComparison* c =
-      find_metric(r, "metrics.bad_probability", "bound");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->verdict, Verdict::kBoundViolated);
+  // Identical reports still fail when the current one breaks the bound.
+  const Json violated = thm42_report(950, 1000);
+  const std::vector<Difference> d = compare_reports(violated, violated);
+  EXPECT_EQ(paths_of(d),
+            (std::vector<std::string>{"metrics.bad_probability_lo"}));
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 // every index code path — resume-region replace/erase/insert, waits woken
 // by wake_hint, pushed network changes, resend-token resyncs, partitions
 // that hide and reveal held messages, crashes with messages held, a fault
-// layer installed mid-run, and fault ticks — at all three trace-detail
+// layer installed mid-run, and fault ticks — at both trace-detail
 // levels, and additionally pin the flag-off run to the flag-on fingerprint
 // (the oracle must observe, never perturb).
 #include <gtest/gtest.h>
@@ -138,8 +138,8 @@ Outcome run_chaos(std::uint64_t seed, int k, sim::TraceDetail d,
       seed, k, d, verify);
 }
 
-constexpr sim::TraceDetail kLevels[] = {
-    sim::TraceDetail::kFull, sim::TraceDetail::kKinds, sim::TraceDetail::kNone};
+constexpr sim::TraceDetail kLevels[] = {sim::TraceDetail::kFull,
+                                        sim::TraceDetail::kNone};
 
 TEST(EnabledIndex, WeakenerMatchesRescanOracleAtEveryDetailLevel) {
   for (const int k : {1, 2}) {

@@ -7,8 +7,8 @@
 // choices, coin draws, step counts, and metrics — is bit-identical at every
 // level; only the materialized trace text differs. These tests hold two
 // workload families (the ABD^k weakener and the fault-injected chaos world)
-// to golden fingerprints captured from the pre-refactor seed kernel, at all
-// three detail levels, with the deterministic profiler (sim::Config::profile)
+// to golden fingerprints captured from the pre-refactor seed kernel, at
+// both detail levels, with the deterministic profiler (sim::Config::profile)
 // off and on. They also pin the fixed-seed step totals that perfbench's
 // fidelity self-test checks (perfbench/sim_workloads.cpp), and check that a
 // weakener at n = 10^4 completes within the step budget the builder scales
@@ -166,8 +166,8 @@ Fingerprint run_chaos(sim::TraceDetail d, std::uint64_t seed, int k,
   return f;
 }
 
-constexpr sim::TraceDetail kLevels[] = {
-    sim::TraceDetail::kFull, sim::TraceDetail::kKinds, sim::TraceDetail::kNone};
+constexpr sim::TraceDetail kLevels[] = {sim::TraceDetail::kFull,
+                                        sim::TraceDetail::kNone};
 
 TEST(HotpathDeterminism, WeakenerBitIdenticalAcrossDetailLevels) {
   struct Case {
@@ -179,11 +179,8 @@ TEST(HotpathDeterminism, WeakenerBitIdenticalAcrossDetailLevels) {
         run_weakener(sim::TraceDetail::kFull, c.k, c.coin, c.sched);
     for (sim::TraceDetail d : kLevels) {
       const Fingerprint f = run_weakener(d, c.k, c.coin, c.sched);
-      expect_same_execution(full, f, d == sim::TraceDetail::kFull
-                                          ? "kFull"
-                                          : d == sim::TraceDetail::kKinds
-                                                ? "kKinds"
-                                                : "kNone");
+      expect_same_execution(
+          full, f, d == sim::TraceDetail::kFull ? "kFull" : "kNone");
       if (d == sim::TraceDetail::kNone) {
         // kNone stores no entries at all; the logical index count (what
         // call_pos/ret_pos are drawn from) is still advanced per step.

@@ -165,35 +165,6 @@ TEST(ChromeTrace, IsAValidEventArray) {
   EXPECT_EQ(instants, w->trace().size());
 }
 
-TEST(ChromeTrace, DegradesGracefullyAtKindsDetail) {
-  // kKinds stores entries without formatted `what` strings: the export must
-  // still be a valid event array with the same shape as kFull, just with
-  // bare kind labels on the instants.
-  const auto w = make_abd_run(
-      11, sim::Config{.trace_detail = sim::TraceDetail::kKinds});
-  const Json doc = Json::parse(chrome_trace_json(*w));
-  ASSERT_TRUE(doc.is_array());
-  int metadata = 0, slices = 0, instants = 0;
-  for (const Json& e : doc.as_array()) {
-    const std::string& ph = e.at("ph").as_string();
-    if (ph == "M") {
-      ++metadata;
-    } else if (ph == "X") {
-      ++slices;
-    } else if (ph == "i") {
-      ++instants;
-      // `what` was never formatted, so names degrade to "<kind>: ".
-      EXPECT_EQ(e.at("name").as_string().back(), ' ');
-    }
-  }
-  EXPECT_EQ(metadata, w->process_count());
-  EXPECT_EQ(slices, static_cast<int>(w->invocations().size()));
-  EXPECT_EQ(instants, w->trace().size());
-  // The JSONL export round-trips the kind-only entries unchanged.
-  const std::string jsonl = trace_to_jsonl(w->trace());
-  EXPECT_EQ(trace_to_jsonl(trace_from_jsonl(jsonl)), jsonl);
-}
-
 TEST(ChromeTrace, DegradesGracefullyAtNoneDetail) {
   // kNone materializes no entries at all (the Monte-Carlo hot path): the
   // instants vanish, but the invocation slices and per-process tracks —
