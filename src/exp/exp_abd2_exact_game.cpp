@@ -10,6 +10,7 @@
 //   * the first moves of one optimal adversary strategy.
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "core/bounds.hpp"
 #include "exp/workloads.hpp"
@@ -25,7 +26,8 @@ int finalize(obs::BenchReport& report, const Accumulator&, const RunInfo&) {
   const auto t0 = std::chrono::steady_clock::now();
   game::AbdPhaseWeakenerGame g(2);
   game::SolveStats stats;
-  const Rational value = game::solve(g, &stats);
+  std::vector<game::StrategyEdge> strategy;
+  const Rational value = game::solve(g, &stats, &strategy, 18);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -53,7 +55,6 @@ int finalize(obs::BenchReport& report, const Accumulator&, const RunInfo&) {
               stats.states_visited, secs);
 
   std::printf("\nfirst moves of one optimal adversary line of play:\n");
-  const auto strategy = game::extract_strategy(g, 18);
   for (std::size_t i = 0; i < strategy.size(); ++i) {
     std::printf("  %2zu. %-44s (subtree value %s)\n", i + 1,
                 strategy[i].label.c_str(),

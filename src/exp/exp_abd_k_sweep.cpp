@@ -40,7 +40,7 @@ constexpr int kTrialsPerSeed = 100;
 constexpr std::int64_t kTrialsPerK = kSchedulerSeeds * kTrialsPerSeed;
 
 int max_k_from_env() {
-  // k=4 adds ~8s (6.2M states); enable with BLUNT_MAX_K=4
+  // k=4 adds ~4s (6.2M states); enable with BLUNT_MAX_K=4
   return std::clamp(env_number<int>("BLUNT_MAX_K", 3), 1, 4);
 }
 

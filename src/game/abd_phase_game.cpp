@@ -3,7 +3,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <string>
 
 #include "common/assert.hpp"
@@ -17,18 +16,27 @@ constexpr int kNodes = 3;
 constexpr int kQuorum = 2;
 constexpr int kOps = 4;  // W0, W1, R1, R2
 
-// (value, timestamp) with value -2 = ⊥. All-int8 fields keep State
+// A replica's (value, timestamp) pair in one byte, value -2 = ⊥: bits 0-1
+// hold val + 2, bits 2-3 pid and bits 4-6 num. With num above pid,
+// timestamp order is the order of bits >> 2. Byte fields keep State
 // trivially copyable with no padding, so the canonical encoding is its bytes.
 struct Pair {
-  std::int8_t val = -2;
-  std::int8_t num = 0;
-  std::int8_t pid = 0;
+  std::uint8_t bits = 0;  // ⊥ at timestamp (0, 0)
+
+  static constexpr int kNumLimit = 1 << 3;  // num takes 3 bits
+
+  [[nodiscard]] static Pair make(int val, int num, int pid) {
+    return {static_cast<std::uint8_t>((num << 4) | (pid << 2) | (val + 2))};
+  }
+  [[nodiscard]] int val() const { return (bits & 3) - 2; }
+  [[nodiscard]] int pid() const { return (bits >> 2) & 3; }
+  [[nodiscard]] int num() const { return bits >> 4; }
 
   [[nodiscard]] bool ts_less(const Pair& o) const {
-    return num != o.num ? num < o.num : pid < o.pid;
+    return (bits >> 2) < (o.bits >> 2);
   }
   [[nodiscard]] bool ts_leq(const Pair& o) const {
-    return ts_less(o) || (num == o.num && pid == o.pid);
+    return (bits >> 2) <= (o.bits >> 2);
   }
   friend bool operator==(const Pair&, const Pair&) = default;
 };
@@ -67,9 +75,9 @@ struct State {
   std::int8_t u2 = -3;
 };
 
-static_assert(sizeof(Pair) == 3);
-static_assert(sizeof(OpState) == 4 + 3 * (kNodes + kMaxK) + 3);
-static_assert(sizeof(State) == 128);
+static_assert(sizeof(Pair) == 1);
+static_assert(sizeof(OpState) == 4 + kNodes + kMaxK + 1);
+static_assert(sizeof(State) == kNodes + kOps * (4 + kNodes + kMaxK + 1) + 7);
 
 // Value each write op installs; reads install their chosen pair.
 constexpr std::int8_t kOpWriteValue[kOps] = {0, 1, -1, -1};
@@ -95,11 +103,11 @@ void enter_update(State& st, int o, Pair chosen) {
   if (op_is_read(o)) {
     op.upd = chosen;  // write-back
   } else {
-    BLUNT_ASSERT(chosen.num < std::numeric_limits<std::int8_t>::max(),
-                 "AbdPhaseWeakenerGame timestamp overflows int8: "
-                     << int{chosen.num});
-    op.upd = Pair{kOpWriteValue[o], static_cast<std::int8_t>(chosen.num + 1),
-                  kOpPid[o]};
+    BLUNT_ASSERT(chosen.num() + 1 < Pair::kNumLimit,
+                 "AbdPhaseWeakenerGame timestamp num "
+                     << chosen.num() + 1 << " overflows its 3 bits (limit "
+                     << Pair::kNumLimit - 1 << ")");
+    op.upd = Pair::make(kOpWriteValue[o], chosen.num() + 1, kOpPid[o]);
   }
 }
 
@@ -120,7 +128,7 @@ void finish_query(State& st, int o, const Pair& res, int k) {
 
 void finish_update(State& st, int o) {
   OpState& op = st.op[static_cast<std::size_t>(o)];
-  const std::int8_t v = op.upd.val;
+  const auto v = static_cast<std::int8_t>(op.upd.val());
   op.canonicalize_done();
   if (o == 2) st.u1 = v;
   if (o == 3) st.u2 = v;
@@ -250,8 +258,8 @@ void AbdPhaseWeakenerGame::expand(std::string_view encoded,
             finish_query(nx, o, p, k_);
             e.add(state_bytes(nx), [o, &op, p] {
               return op_label(o, " query phase ") + std::to_string(op.iter) +
-                     " -> (v=" + std::to_string(p.val) + ",ts=(" +
-                     std::to_string(p.num) + ',' + std::to_string(p.pid) +
+                     " -> (v=" + std::to_string(p.val()) + ",ts=(" +
+                     std::to_string(p.num()) + ',' + std::to_string(p.pid()) +
                      "))";
             });
           }

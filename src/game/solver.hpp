@@ -32,8 +32,8 @@ namespace blunt::game {
 
 /// One expanded game node. The solver keeps one per search depth and reuses
 /// it: successors are appended to one flat byte buffer, and each label is
-/// built only when the expansion was created with labels on (strategy
-/// extraction); the solve itself never builds one.
+/// built only when the expansion was created with labels on (a requested
+/// line of play); the search itself never builds one.
 class Expansion {
  public:
   enum class Kind { kTerminal, kAdversary, kChance };
@@ -137,16 +137,7 @@ struct SolveStats {
   int max_depth = 0;
 };
 
-/// Exact value of the game: sup over adversary strategies of the expected
-/// terminal payoff. The state graph must be acyclic (each model guarantees
-/// progress); reaching a state whose value is still being computed fails
-/// with an assertion naming the cycle.
-[[nodiscard]] Rational solve(const GameModel& model, SolveStats* stats = nullptr);
-
-/// One (of possibly several) optimal adversary line of play: from the root,
-/// follow argmax moves at adversary nodes and the first outcome at chance
-/// nodes, reporting move labels. Useful to print the extracted adversary
-/// strategy (e.g. the Figure 1 schedule falls out of the k=1 ABD game).
+/// One edge of an optimal adversary line of play (see solve).
 struct StrategyEdge {
   std::string label;
   bool chance = false;
@@ -154,7 +145,20 @@ struct StrategyEdge {
   Rational value;    // subtree value
 };
 
-[[nodiscard]] std::vector<StrategyEdge> extract_strategy(
-    const GameModel& model, int max_edges = 200);
+/// Exact value of the game: sup over adversary strategies of the expected
+/// terminal payoff. The state graph must be acyclic (each model guarantees
+/// progress); reaching a state whose value is still being computed fails
+/// with an assertion naming the cycle.
+///
+/// When `line` is given, it receives one (of possibly several) optimal
+/// adversary lines of play of at most `max_edges` edges, read from this
+/// solve's memo: from the root, follow the first argmax move at adversary
+/// nodes and the first outcome at chance nodes, reporting move labels.
+/// Useful to print the extracted adversary strategy (e.g. the Figure 1
+/// schedule falls out of the k=1 ABD game).
+[[nodiscard]] Rational solve(const GameModel& model,
+                             SolveStats* stats = nullptr,
+                             std::vector<StrategyEdge>* line = nullptr,
+                             int max_edges = 200);
 
 }  // namespace blunt::game

@@ -48,7 +48,8 @@ TEST(Solver, MaxOverAdversaryAverageOverChance) {
 
 TEST(Solver, StrategyExtractionFollowsArgmax) {
   MiniGame g;
-  const auto strategy = extract_strategy(g);
+  std::vector<StrategyEdge> strategy;
+  EXPECT_EQ(solve(g, nullptr, &strategy), Rational(1, 2));
   ASSERT_EQ(strategy.size(), 2u);
   EXPECT_EQ(strategy[0].label, "go-left");
   EXPECT_EQ(strategy[0].value, Rational(1, 2));
@@ -179,7 +180,8 @@ TEST(AbdPhase, Abd3ValueIsFiveNinths) {
 
 TEST(AbdPhase, StrategyExtractionReachesTheCoin) {
   AbdPhaseWeakenerGame g(1);
-  const auto strategy = extract_strategy(g, 400);
+  std::vector<StrategyEdge> strategy;
+  (void)solve(g, nullptr, &strategy, 400);
   bool flipped = false;
   for (const auto& e : strategy) {
     if (e.label.find("coin") != std::string::npos) flipped = true;
@@ -211,7 +213,8 @@ TEST(AbdPhase, Abd2StrategyLabelsArePinned) {
       "W1 returns",
       "p1 flips the coin",
   };
-  const auto strategy = extract_strategy(AbdPhaseWeakenerGame(2), 18);
+  std::vector<StrategyEdge> strategy;
+  (void)solve(AbdPhaseWeakenerGame(2), nullptr, &strategy, 18);
   ASSERT_EQ(strategy.size(), std::size(kLabels));
   for (std::size_t i = 0; i < strategy.size(); ++i) {
     EXPECT_EQ(strategy[i].label, kLabels[i]) << "edge " << i + 1;
@@ -251,6 +254,15 @@ TEST(AtomicRounds, RejectsBadRoundCounts) {
 TEST(AbdPhase, RejectsBadK) {
   EXPECT_DEATH(AbdPhaseWeakenerGame(0), "k must be");
   EXPECT_DEATH(AbdPhaseWeakenerGame(9), "k must be");
+}
+
+TEST(AbdPhase, StateIsFiftyEightBytes) {
+  // One byte per (val, num, pid) pair: 3 replicas, 4 ops of 12 bytes and 7
+  // bytes of program state, whatever k. The memo keys every state by these
+  // bytes.
+  for (int k = 1; k <= 4; ++k) {
+    EXPECT_EQ(AbdPhaseWeakenerGame(k).initial().size(), 58u) << "k=" << k;
+  }
 }
 
 }  // namespace
