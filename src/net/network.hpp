@@ -37,7 +37,9 @@
 // id -> position table beside the vector finds a delivery's envelope with
 // one load; compaction rewrites it. A delivery costs O(1) amortized however
 // many messages are in flight, and each payload is copied once per
-// recipient.
+// recipient. Both vectors are reserved at construction for 4n + 16
+// messages and keep their capacity across compactions, so at small n a
+// run's sends allocate nothing.
 #pragma once
 
 #include <concepts>
@@ -78,6 +80,11 @@ class Network final : public sim::DeliverySource {
         trace_(trace),
         metrics_(metrics) {
     BLUNT_ASSERT(num_processes_ > 0, "Network with no processes");
+    // Room for a few broadcasts and their answers in flight, so that a
+    // small world's sends never regrow the envelope storage.
+    const auto room = static_cast<std::size_t>(4 * num_processes_ + 16);
+    in_transit_.reserve(room);
+    pos_of_.reserve(room);
     handlers_.resize(static_cast<std::size_t>(num_processes_));
     crashed_.resize(static_cast<std::size_t>(num_processes_), 0);
     if (metrics_ != nullptr) {

@@ -41,6 +41,8 @@ AbdRegister::AbdRegister(std::string name, sim::World& w, Options opts)
       quorum_(opts.bug == AbdBug::kSubMajorityQuorum
                   ? std::max(opts.num_processes / 2, 1)
                   : opts.num_processes / 2 + 1),
+      words_per_phase_((static_cast<std::size_t>(opts.num_processes) + 63) /
+                       64),
       net_(name_, opts.num_processes, &w.trace_mutable(), w.metrics()),
       resend_src_(this),
       servers_(static_cast<std::size_t>(opts.num_processes)),
@@ -98,21 +100,21 @@ void AbdRegister::handle(Pid to, Pid from, const AbdMessage& m) {
     case AbdMessage::Type::kReply: {
       // Deduped by the responder bitset: a duplicated or re-elicited reply
       // is dropped before it can double-count or perturb the running max
-      // (first reply per responder wins, as the historical map did).
+      // (first reply per responder wins). A first reply to a phase the
+      // client has finished counts toward nothing, but wakes the client
+      // like any other.
       if (prof_ != nullptr) prof_->count(obs::ProfCounter::kQuorumTouches);
-      Phase& ph = phase_slot(cli, m.sn);
-      const auto word = static_cast<std::size_t>(from) >> 6;
-      const std::uint64_t bit = std::uint64_t{1} << (from & 63);
-      if ((ph.responders[word] & bit) != 0) break;
-      ph.responders[word] |= bit;
-      ++ph.count;
-      if (!ph.any || m.ts > ph.best_ts) {
-        ph.any = true;
-        ph.best_val = m.val;
-        ph.best_ts = m.ts;
+      if (!first_response(cli, m.sn, from)) break;
+      if (m.sn == cli.next_sn - 1) {
+        ++cli.count;
+        if (!cli.any || m.ts > cli.best_ts) {
+          cli.any = true;
+          cli.best_val = m.val;
+          cli.best_ts = m.ts;
+        }
+        // Reaching the quorum hides the phase's resend token.
+        if (static_cast<int>(cli.count) == quorum_) resend_src_.resync();
       }
-      // Reaching the quorum hides the phase's resend token.
-      if (static_cast<int>(ph.count) == quorum_) resend_src_.resync();
       world_.wake_hint(to);
       break;
     }
@@ -128,13 +130,11 @@ void AbdRegister::handle(Pid to, Pid from, const AbdMessage& m) {
     case AbdMessage::Type::kAck: {
       // The same bitset dedupe: duplicated acks cannot fake a quorum.
       if (prof_ != nullptr) prof_->count(obs::ProfCounter::kQuorumTouches);
-      Phase& ph = phase_slot(cli, m.sn);
-      const auto word = static_cast<std::size_t>(from) >> 6;
-      const std::uint64_t bit = std::uint64_t{1} << (from & 63);
-      if ((ph.responders[word] & bit) != 0) break;
-      ph.responders[word] |= bit;
-      ++ph.count;
-      if (static_cast<int>(ph.count) == quorum_) resend_src_.resync();
+      if (!first_response(cli, m.sn, from)) break;
+      if (m.sn == cli.next_sn - 1) {
+        ++cli.count;
+        if (static_cast<int>(cli.count) == quorum_) resend_src_.resync();
+      }
       world_.wake_hint(to);
       break;
     }
@@ -143,29 +143,42 @@ void AbdRegister::handle(Pid to, Pid from, const AbdMessage& m) {
 
 bool AbdRegister::phase_satisfied(Pid client, int sn,
                                   AbdMessage::Type type) const {
-  // O(1): the phase keeps a distinct-responder count, so the quorum test is
-  // one compare regardless of n. Polled at park and on wake_hint, not on
-  // every enabled scan.
+  // O(1): the current phase keeps a distinct-responder count, so the quorum
+  // test is one compare regardless of n; a finished phase had its quorum.
+  // Polled at park and on wake_hint, not on every enabled scan.
   const obs::ScopedPhase prof_scope(prof_, obs::Phase::kQuorum);
   if (prof_ != nullptr) prof_->count(obs::ProfCounter::kQuorumTouches);
   (void)type;  // query and update phases share the sn counter
   const Client& c = clients_[static_cast<std::size_t>(client)];
-  if (sn >= static_cast<int>(c.phases.size())) return false;
-  return static_cast<int>(c.phases[static_cast<std::size_t>(sn)].count) >=
-         quorum_;
+  if (sn < c.next_sn - 1) return true;
+  return sn == c.next_sn - 1 && static_cast<int>(c.count) >= quorum_;
 }
 
-AbdRegister::Phase& AbdRegister::phase_slot(Client& cli, int sn) {
+int AbdRegister::begin_phase(Client& cli) {
+  if (cli.responders.empty()) {
+    // Room for the phases of a few operations (k query phases and one
+    // update phase each), so a short program never regrows it.
+    constexpr std::size_t kOpsReserved = 4;
+    cli.responders.reserve(
+        kOpsReserved *
+        (static_cast<std::size_t>(opts_.preamble_iterations) + 1) *
+        words_per_phase_);
+  }
+  cli.responders.resize(cli.responders.size() + words_per_phase_, 0);
+  cli.count = 0;
+  cli.any = false;
+  return cli.next_sn++;
+}
+
+bool AbdRegister::first_response(Client& cli, int sn, Pid from) {
   BLUNT_ASSERT(sn >= 0 && sn < cli.next_sn, "reply for unknown phase " << sn);
-  if (sn >= static_cast<int>(cli.phases.size())) {
-    cli.phases.resize(static_cast<std::size_t>(sn) + 1);
-  }
-  Phase& ph = cli.phases[static_cast<std::size_t>(sn)];
-  if (ph.responders.empty()) {
-    ph.responders.resize(
-        (static_cast<std::size_t>(opts_.num_processes) + 63) / 64, 0);
-  }
-  return ph;
+  std::uint64_t& word =
+      cli.responders[static_cast<std::size_t>(sn) * words_per_phase_ +
+                     (static_cast<std::size_t>(from) >> 6)];
+  const std::uint64_t bit = std::uint64_t{1} << (from & 63);
+  if ((word & bit) != 0) return false;
+  word |= bit;
+  return true;
 }
 
 // -- ResendSource ------------------------------------------------------------
@@ -256,7 +269,7 @@ void AbdRegister::ResendSource::describe_pending(
 sim::Task<std::pair<sim::Value, Timestamp>> AbdRegister::query_phase(
     sim::Proc p, InvocationId inv) {
   Client& cli = clients_[static_cast<std::size_t>(p.pid())];
-  const int sn = cli.next_sn++;
+  const int sn = begin_phase(cli);
   ++query_phases_run_;
   co_await p.yield(sim::StepKind::kSend, label_query_bcast_, inv);
   const AbdMessage msg{AbdMessage::Type::kQuery, sn};
@@ -277,16 +290,15 @@ sim::Task<std::pair<sim::Value, Timestamp>> AbdRegister::query_phase(
   if (quorum_round_trips_ != nullptr) quorum_round_trips_->inc();
   // Line 9: pair in reply with the largest timestamp, over the replies
   // received by the time this step is scheduled — maintained as a running
-  // max on arrival, so reading it off the phase is O(1).
-  const Phase& ph = cli.phases[static_cast<std::size_t>(sn)];
-  BLUNT_ASSERT(ph.any, "query quorum with no reply recorded");
-  co_return std::pair<sim::Value, Timestamp>{ph.best_val, ph.best_ts};
+  // max on arrival, so reading it off the client is O(1).
+  BLUNT_ASSERT(cli.any, "query quorum with no reply recorded");
+  co_return std::pair<sim::Value, Timestamp>{cli.best_val, cli.best_ts};
 }
 
 sim::Task<void> AbdRegister::update_phase(sim::Proc p, InvocationId inv,
                                           sim::Value v, Timestamp u) {
   Client& cli = clients_[static_cast<std::size_t>(p.pid())];
-  const int sn = cli.next_sn++;
+  const int sn = begin_phase(cli);
   co_await p.yield(sim::StepKind::kSend, label_update_bcast_, inv);
   const AbdMessage msg{AbdMessage::Type::kUpdate, sn, std::move(v), u};
   net_.broadcast(p.pid(), msg);

@@ -27,7 +27,7 @@
 // empty, so only Read is iterated).
 //
 // Fault tolerance beyond crashes: quorum counting is idempotent — each
-// phase tracks its distinct responders in a per-phase pid bitset, so a
+// phase tracks its distinct responders in a pid bitset, so a
 // duplicated kReply/kAck never double-counts toward a quorum, and a
 // retransmitted query/update elicits at most one counted response per
 // server. With Options::max_retransmits > 0, each phase arms a bounded
@@ -129,27 +129,28 @@ class AbdRegister final : public RegisterObject {
     sim::Value val;
     Timestamp ts{0, 0};
   };
-  /// One phase's quorum bookkeeping: a distinct-responder count plus a pid
-  /// bitset for dedupe, and the running maximum-timestamp reply. Replaces
-  /// the historical per-phase std::map of full replies: phase_satisfied
-  /// becomes a single integer compare (O(1) at majorities of 500+), and a
-  /// query phase reads its result off best_val/best_ts directly. The
-  /// running max is byte-identical to the old scan-the-map maximum because
-  /// a full timestamp (number, pid) determines its value uniquely, the
-  /// compare is strictly-greater either way, and the bitset keeps the FIRST
-  /// reply per responder exactly as map::emplace did.
-  struct Phase {
-    std::uint32_t count = 0;  // distinct responders recorded so far
-    bool any = false;         // at least one reply folded into best (query)
-    sim::Value best_val;
-    Timestamp best_ts{0, 0};
-    std::vector<std::uint64_t> responders;  // pid bitset, sized lazily
-  };
+  /// One client's quorum bookkeeping. A client runs its phases one at a
+  /// time, and only the current phase (sn == next_sn - 1) is ever polled,
+  /// so its distinct-responder count and its running maximum-timestamp
+  /// reply are kept once per client and reset when the next phase begins:
+  /// phase_satisfied is a single integer compare, and a query phase reads
+  /// its result off best_val/best_ts directly. The running max equals the
+  /// maximum over the distinct responders' first replies, since a full
+  /// timestamp (number, pid) determines its value and the compare is
+  /// strictly-greater. Every phase, finished ones included, keeps its
+  /// responder set, so a late duplicate reply or ack is still dropped
+  /// before it can count or wake the client: one 64-bit word per phase for
+  /// n <= 64, words_per_phase_ words per phase in general, in one vector
+  /// reserved for a few operations' phases on the client's first phase.
   struct Client {
     int next_sn = 0;
-    // Indexed by phase sequence number; query and update phases share the
-    // sn counter, so each slot belongs to exactly one phase.
-    std::vector<Phase> phases;
+    std::uint32_t count = 0;  // distinct responders to the current phase
+    bool any = false;         // a reply folded into best (query phases)
+    sim::Value best_val;
+    Timestamp best_ts{0, 0};
+    // Responder pid bitsets by phase: phase sn owns words
+    // [sn * words_per_phase_, (sn + 1) * words_per_phase_).
+    std::vector<std::uint64_t> responders;
   };
 
   /// Bounded per-phase resend tokens, exposed to the World as schedulable
@@ -204,8 +205,12 @@ class AbdRegister final : public RegisterObject {
   [[nodiscard]] bool phase_satisfied(Pid client, int sn,
                                      AbdMessage::Type type) const;
 
-  /// The phase slot for (cli, sn), grown and bitset-sized on first touch.
-  [[nodiscard]] Phase& phase_slot(Client& cli, int sn);
+  /// Starts the client's next phase (an empty responder set, a zero count
+  /// and no reply yet) and returns its sequence number.
+  int begin_phase(Client& cli);
+  /// Records `from` as a responder to phase `sn` of `cli`; false if it
+  /// already was, so the message is a duplicate.
+  [[nodiscard]] bool first_response(Client& cli, int sn, Pid from);
 
   std::string name_;
   // Step labels precomputed once: the phase hot paths park with borrowed
@@ -219,6 +224,7 @@ class AbdRegister final : public RegisterObject {
   Options opts_;
   int object_id_;
   int quorum_;
+  std::size_t words_per_phase_;  // responder bitset words per phase
   // Observability (null when the World's metrics are off).
   obs::Counter* quorum_round_trips_ = nullptr;
   // Profiling (null when the World's profiler is off): quorum bookkeeping

@@ -7,6 +7,9 @@ namespace blunt::sim {
 namespace {
 // The fault tick's one event; the view's tick segment points at it.
 const Event kTickEvent{Event::Kind::kTick, -1, -1, -1, "fault-tick"};
+// Invocation records reserved at construction, so that a small program's
+// invocations never regrow the vector.
+constexpr std::size_t kInvocationsReserved = 16;
 }  // namespace
 
 const char* to_string(RunStatus s) {
@@ -33,6 +36,7 @@ World::World(Config cfg, std::unique_ptr<CoinSource> coins)
     inv_latency_ = metrics_->histogram(obs::kInvocationLatency);
   }
   if (cfg_.profile) prof_ = std::make_unique<obs::Profiler>();
+  invocations_.reserve(kInvocationsReserved);
 }
 
 World::~World() = default;
@@ -46,7 +50,10 @@ Pid World::add_process(std::string name, ProcessBody body) {
   // inside it and the coroutine frame will refer to them), then build the
   // (lazy) coroutine from the stored copy.
   s.body = std::make_unique<ProcessBody>(std::move(body));
-  s.root = (*s.body)(Proc(this, pid));
+  {
+    const detail::FramePool::Scope pool_scope(&frame_pool_);
+    s.root = (*s.body)(Proc(this, pid));
+  }
   BLUNT_ASSERT(s.root.valid(), "process body returned an empty Task");
   states_.push_back(ProcState::kNotStarted);
   per_process_invocations_.push_back(0);
@@ -479,7 +486,10 @@ void World::resume_slot(Pid pid) {
   s.parked = {};
   s.wait_pred = nullptr;
   s.pending_random_n = 0;
-  h.resume();
+  {
+    const detail::FramePool::Scope pool_scope(&frame_pool_);
+    h.resume();
+  }
   // The process either re-parked (state overwritten by park*) or ran to
   // completion.
   if (s.root.done()) {
@@ -535,24 +545,30 @@ std::string World::describe_stuck() const {
   std::string out;
   for (Pid pid = 0; pid < process_count(); ++pid) {
     const Slot& s = slots_[pid];
-    switch (states_[pid]) {
-      case ProcState::kNotStarted:
-        out += "p" + std::to_string(pid) + " (" + s.name + "): not started\n";
-        break;
-      case ProcState::kReady:
-        out += "p" + std::to_string(pid) + " (" + s.name +
-               "): ready, next step '" + std::string(s.pending_what) + "'\n";
-        break;
-      case ProcState::kBlocked:
-        out += "p" + std::to_string(pid) + " (" + s.name + "): blocked on '" +
-               std::string(s.pending_what) + "' (predicate " +
-               (s.wait_pred && s.wait_pred() ? "holds" : "does not hold") +
-               ")\n";
-        break;
-      case ProcState::kRunning:
-      case ProcState::kDone:
-      case ProcState::kCrashed:
-        break;
+    const ProcState state = states_[pid];
+    if (state != ProcState::kNotStarted && state != ProcState::kReady &&
+        state != ProcState::kBlocked) {
+      continue;
+    }
+    // Appended piece by piece: GCC 12 at -O3 reports a false -Wrestrict
+    // overlap on `"p" + std::to_string(pid)`.
+    out += 'p';
+    out += std::to_string(pid);
+    out += " (";
+    out += s.name;
+    out += "): ";
+    if (state == ProcState::kNotStarted) {
+      out += "not started\n";
+    } else if (state == ProcState::kReady) {
+      out += "ready, next step '";
+      out += s.pending_what;
+      out += "'\n";
+    } else {
+      out += "blocked on '";
+      out += s.pending_what;
+      out += "' (predicate ";
+      out += s.wait_pred && s.wait_pred() ? "holds" : "does not hold";
+      out += ")\n";
     }
   }
   std::vector<std::string> lines;
@@ -560,7 +576,11 @@ std::string World::describe_stuck() const {
     lines.clear();
     sources_[sid]->describe_pending(lines);
     for (const std::string& l : lines) {
-      out += "source " + std::to_string(sid) + ": " + l + "\n";
+      out += "source ";
+      out += std::to_string(sid);
+      out += ": ";
+      out += l;
+      out += '\n';
     }
   }
   if (fault_layer_ != nullptr) {

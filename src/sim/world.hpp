@@ -14,6 +14,16 @@
 // chosen event indices). The replay explorer in src/adversary exploits this
 // to enumerate schedules exhaustively.
 //
+// Frame ownership: each World owns a coroutine-frame pool (sim/task.hpp's
+// detail::FramePool) and installs it on the running thread while it creates
+// a process (add_process) and while it resumes one, so every frame a process
+// creates, object-method frames included, comes from this World's pool and
+// returns to it when destroyed. The pool is declared before the process
+// slots, so destroying a World destroys every suspended call chain while the
+// pool still stands. Frames made outside every World use the global
+// allocator. After a World's first operations have filled the pool's size
+// classes, a scheduler step allocates no frame.
+//
 // Step granularity: a process runs uninterrupted between two `co_await`
 // points on Proc (yield / random / wait_until). All shared-state effects
 // (base-register accesses, sends) must sit immediately after such a point, a
@@ -362,6 +372,9 @@ class World {
   std::array<obs::Counter*, kNumStepKinds> step_counters_{};
   obs::Counter* random_draw_counter_ = nullptr;
   obs::Histogram* inv_latency_ = nullptr;
+  // Frames of this World's processes; declared before slots_ so that the
+  // slots' frames have all come back when it is destroyed.
+  detail::FramePool frame_pool_;
   std::vector<Slot> slots_;
   // Hot per-process state, struct-of-arrays twin of slots_ (same indexing).
   std::vector<ProcState> states_;

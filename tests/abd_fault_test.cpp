@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "adversary/scripted.hpp"
 #include "fault/injector.hpp"
@@ -12,12 +13,22 @@
 #include "lin/check.hpp"
 #include "lin/history.hpp"
 #include "objects/abd.hpp"
+#include "obs/prof.hpp"
 #include "sim/adversaries.hpp"
 #include "sim/coin.hpp"
 #include "sim/world.hpp"
 
 namespace blunt::objects {
 namespace {
+
+/// `prefix` followed by `pid`, as in "p1". Appended rather than written
+/// `"p" + std::to_string(pid)`, on which GCC 12 at -O3 reports a false
+/// -Wrestrict overlap.
+std::string named(const char* prefix, Pid pid) {
+  std::string name = prefix;
+  name += std::to_string(pid);
+  return name;
+}
 
 struct Rig {
   std::unique_ptr<sim::World> world;
@@ -46,7 +57,7 @@ Rig make_rig(const fault::FaultPlan& plan, int max_retransmits,
     EXPECT_EQ(v, sim::Value(std::int64_t{7}));
   });
   for (Pid pid = 1; pid < 3; ++pid) {
-    rig.world->add_process("p" + std::to_string(pid),
+    rig.world->add_process(named("p", pid),
                            [](sim::Proc) -> sim::Task<void> { co_return; });
   }
   return rig;
@@ -117,7 +128,7 @@ TEST(AbdFault, DuplicatedRepliesCannotFakeAQuorum) {
     co_await reg.write(p, sim::Value(std::int64_t{7}));
   });
   for (Pid pid = 1; pid < 3; ++pid) {
-    w.add_process("p" + std::to_string(pid),
+    w.add_process(named("p", pid),
                   [](sim::Proc) -> sim::Task<void> { co_return; });
   }
   adversary::ScriptedAdversary adv;
@@ -126,6 +137,90 @@ TEST(AbdFault, DuplicatedRepliesCannotFakeAQuorum) {
   const sim::RunResult res = w.run(adv);
   EXPECT_EQ(res.status, sim::RunStatus::kDeadlock);
   // Deadlock diagnostics name the starved wait.
+  EXPECT_NE(res.deadlock_detail.find("query-quorum"), std::string::npos);
+}
+
+/// Executes the one enabled event `m` picks first.
+void take(sim::World& w, const adversary::Matcher& m, const char* what) {
+  for (const sim::Event& e : w.enabled_events()) {
+    if (m(w, e)) {
+      w.execute(e);
+      return;
+    }
+  }
+  FAIL() << "no enabled event matches " << what;
+}
+
+/// ABD quorum bookkeeping touches so far (handler probes and predicate
+/// polls).
+std::int64_t quorum_touches(const sim::World& w) {
+  return w.profiler()->snapshot().counter(obs::ProfCounter::kQuorumTouches);
+}
+
+TEST(AbdFault, DuplicatesToASatisfiedPhaseNeitherCountNorWake) {
+  // p0 writes then reads with every message sent twice. Each probe below
+  // delivers a reply or ack to a phase p0 has already finished while p0 is
+  // blocked on its next phase. Every delivery is one handler touch; a reply
+  // from a responder new to that old phase also wakes p0, whose predicate
+  // poll is the second touch; a duplicate is dropped before it can wake.
+  // Then p1 and p2 crash: p0's own answer is one short of a quorum, so the
+  // late replies and acks must not have counted toward the current phase.
+  sim::World w(sim::Config{.max_crashes = 2, .profile = true},
+               std::make_unique<sim::SeededCoin>(1));
+  AbdRegister reg("R", w, {.num_processes = 3});
+  DuplicateEverything dup;
+  reg.set_fault_layer(&dup);
+  w.add_process("p0", [&reg](sim::Proc p) -> sim::Task<void> {
+    co_await reg.write(p, sim::Value(std::int64_t{7}));
+    (void)co_await reg.read(p);
+  });
+  for (Pid pid = 1; pid < 3; ++pid) {
+    w.add_process(named("p", pid),
+                  [](sim::Proc) -> sim::Task<void> { co_return; });
+  }
+  using adversary::deliver;
+  using adversary::resume;
+  // A delivery to p0 of `what` sent by `sender`.
+  const auto from = [](const char* what, Pid sender) {
+    return deliver(0, std::vector<std::string>{
+                          what, named("from p", sender)});
+  };
+  const auto touches_of = [&w](const adversary::Matcher& m, const char* what) {
+    const std::int64_t before = quorum_touches(w);
+    take(w, m, what);
+    return quorum_touches(w) - before;
+  };
+  // Query phase sn=0 reaches its quorum on p0's and p1's replies.
+  take(w, resume(0, "start"), "p0 start");
+  take(w, resume(0, "query-bcast"), "query broadcast");
+  for (Pid to = 0; to < 3; ++to) {
+    take(w, deliver(to, "query sn=0"), "query sn=0");
+  }
+  take(w, from("reply sn=0", 0), "p0's reply");
+  take(w, from("reply sn=0", 1), "p1's reply");
+  take(w, resume(0, "query-quorum"), "query quorum");
+  take(w, resume(0, "update-bcast"), "update broadcast");
+  // Blocked on update phase sn=1 with no ack yet.
+  EXPECT_EQ(touches_of(from("reply sn=0", 1), "p1 dup"), 1);
+  EXPECT_EQ(touches_of(from("reply sn=0", 2), "p2 reply"), 2);
+  EXPECT_EQ(touches_of(from("reply sn=0", 2), "p2 dup"), 1);
+  // Update phase sn=1 reaches its quorum on p0's and p1's acks.
+  for (Pid to = 0; to < 3; ++to) {
+    take(w, deliver(to, "update sn=1"), "update sn=1");
+  }
+  take(w, from("ack sn=1", 0), "p0's ack");
+  take(w, from("ack sn=1", 1), "p1's ack");
+  take(w, resume(0, "update-quorum"), "update quorum");
+  take(w, resume(0, "query-bcast"), "read's query broadcast");
+  // Blocked on the read's query phase sn=2 with no reply yet.
+  EXPECT_EQ(touches_of(from("ack sn=1", 1), "p1 dup"), 1);
+  EXPECT_EQ(touches_of(from("ack sn=1", 2), "p2 ack"), 2);
+  EXPECT_EQ(touches_of(from("ack sn=1", 2), "p2 dup"), 1);
+  take(w, adversary::crash(1), "crash p1");
+  take(w, adversary::crash(2), "crash p2");
+  sim::UniformAdversary rest(3);
+  const sim::RunResult res = w.run(rest);
+  EXPECT_EQ(res.status, sim::RunStatus::kDeadlock);
   EXPECT_NE(res.deadlock_detail.find("query-quorum"), std::string::npos);
 }
 
@@ -164,7 +259,7 @@ TEST(AbdFault, ResendEventsAbsentWhenDisabled) {
     co_await reg.write(p, sim::Value(std::int64_t{1}));
   });
   for (Pid pid = 1; pid < 3; ++pid) {
-    w.add_process("p" + std::to_string(pid),
+    w.add_process(named("p", pid),
                   [](sim::Proc) -> sim::Task<void> { co_return; });
   }
   sim::FirstEnabledAdversary adv;
@@ -181,7 +276,7 @@ TEST(AbdFault, RetransmitWithoutFaultsStaysLinearizable) {
     sim::World w(sim::Config{}, std::make_unique<sim::SeededCoin>(seed));
     AbdRegister reg("R", w, {.num_processes = 3, .max_retransmits = 3});
     for (Pid pid = 0; pid < 3; ++pid) {
-      w.add_process("p" + std::to_string(pid),
+      w.add_process(named("p", pid),
                     [&reg, pid](sim::Proc p) -> sim::Task<void> {
                       co_await reg.write(p, sim::Value(std::int64_t{pid}));
                       (void)co_await reg.read(p);
@@ -210,7 +305,7 @@ TEST(AbdFault, SubMajorityQuorumBugIsCatchable) {
       co_await reg.write(p, sim::Value(std::int64_t{7}));
     });
     for (Pid pid = 1; pid < 3; ++pid) {
-      w.add_process("r" + std::to_string(pid),
+      w.add_process(named("r", pid),
                     [&reg](sim::Proc p) -> sim::Task<void> {
                       (void)co_await reg.read(p);
                       (void)co_await reg.read(p);

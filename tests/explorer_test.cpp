@@ -47,7 +47,10 @@ Instance race_factory(std::vector<int> coins) {
                           [reg, seen](sim::Proc p) -> sim::Task<void> {
                             *seen = co_await reg->read(p);
                           });
-  inst.bad = [seen] { return *seen == sim::Value(std::int64_t{1}); };
+  inst.bad = [seen] {
+    const std::int64_t* v = std::get_if<std::int64_t>(seen.get());
+    return v != nullptr && *v == 1;
+  };
   inst.owned.push_back(reg);
   inst.owned.push_back(seen);
   return inst;
