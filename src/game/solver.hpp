@@ -16,6 +16,10 @@
 // States are fixed-width byte strings: every state of one model has the
 // width of its initial state. Each model encodes a trivially copyable struct
 // byte for byte (state_bytes / state_from_bytes below).
+//
+// solve() runs one search worker per CPU the process may run on, over one
+// shared memo (solver.cpp). The value, the state counts and the line of play
+// are the same for any number of workers.
 #pragma once
 
 #include <cstddef>
@@ -99,6 +103,10 @@ class Expansion {
 
 /// A game model over fixed-width, canonically-encoded states. Encodings must
 /// be injective: equal bytes == equal states.
+///
+/// solve() calls initial() and expand() from several threads at once, so
+/// neither may write state the calls share: every model in src/game and in
+/// the tests only reads its own members.
 class GameModel {
  public:
   virtual ~GameModel() = default;
@@ -132,8 +140,17 @@ template <class State>
 }
 
 struct SolveStats {
-  std::size_t states_visited = 0;   // distinct memoized states
-  std::size_t expansions = 0;       // expand() calls
+  /// Distinct states reached from the root, each stored and solved once.
+  std::size_t states_visited = 0;
+  /// expand() calls, one per solved state: the call by the worker that
+  /// stored the state. A worker that joins a state another worker is busy
+  /// in expands it again, and those repeats are not counted, so this equals
+  /// states_visited for any number of workers.
+  std::size_t expansions = 0;
+  /// The deepest level, counted in moves from the root, at which any worker
+  /// looked a state up. Every worker searches along real lines of play, but
+  /// which line reaches a state first can depend on timing, so with several
+  /// workers this can differ from a one-worker solve's.
   int max_depth = 0;
 };
 
@@ -147,8 +164,14 @@ struct StrategyEdge {
 
 /// Exact value of the game: sup over adversary strategies of the expected
 /// terminal payoff. The state graph must be acyclic (each model guarantees
-/// progress); reaching a state whose value is still being computed fails
-/// with an assertion naming the cycle.
+/// progress); a worker that reaches a state whose value it is still
+/// computing fails with an assertion naming the cycle along its own line of
+/// play.
+///
+/// The search runs on W workers, W being the CPUs in the calling thread's
+/// affinity mask (at most 7); the calling thread is one of them, so a
+/// thread pinned to one CPU solves alone. An exception thrown by the model on
+/// any worker stops the others and is rethrown here.
 ///
 /// When `line` is given, it receives one (of possibly several) optimal
 /// adversary lines of play of at most `max_edges` edges, read from this

@@ -3,6 +3,9 @@
 #include "game/solver.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
+
+#include <stdexcept>
 
 #include "game/abd_phase_game.hpp"
 #include "game/weakener_game.hpp"
@@ -73,6 +76,141 @@ TEST(Solver, CyclicModelFailsCleanly) {
   EXPECT_DEATH((void)solve(CyclicGame{}),
                "cyclic game: the state at depth 2 repeats the one at depth 0 "
                "while its value is pending: A -> B -> A");
+}
+
+// R -> {P, Q}; P -> S; Q -> q -> S; S -> T -> S. The cycle is reachable
+// only through S, which both of R's lines share, so which line the worker
+// that finds it came along (and so the depths it names) depends on timing.
+class SharedCycleGame final : public GameModel {
+ public:
+  std::string_view initial() const override { return "R"; }
+
+  void expand(std::string_view s, Expansion& e) const override {
+    e.kind = Expansion::Kind::kAdversary;
+    if (s == "R") {
+      e.add("P");
+      e.add("Q");
+    } else if (s == "Q") {
+      e.add("q");
+    } else if (s == "P" || s == "q" || s == "T") {
+      e.add("S");
+    } else {  // "S"
+      e.add("T");
+    }
+  }
+};
+
+TEST(Solver, CycleBehindASharedStateFailsCleanly) {
+  EXPECT_DEATH((void)solve(SharedCycleGame{}),
+               "cyclic game: the state at depth [0-9]+ repeats the one at "
+               "depth [0-9]+ while its value is pending: S -> T -> S");
+}
+
+// A transposition-heavy game on the grid 0 <= x, y <= kSide: adversary
+// states where x + y is even and chance states where it is odd, each moving
+// one step right or down (a chance state also diagonally), and terminals on
+// the far edges. Every inner state is reached along many lines of play, so
+// the workers meet in the same states all the time.
+class GridGame final : public GameModel {
+ public:
+  static constexpr int kSide = 9;
+
+  std::string_view initial() const override { return {"\0\0", 2}; }
+
+  void expand(std::string_view s, Expansion& e) const override {
+    const int x = s[0];
+    const int y = s[1];
+    if (x == throw_at_ && y == throw_at_) {
+      throw std::runtime_error("GridGame: planted failure");
+    }
+    if (x == kSide || y == kSide) {
+      e.terminal_value = payoff(x, y);
+      return;
+    }
+    const bool chance = (x + y) % 2 != 0;
+    e.kind = chance ? Expansion::Kind::kChance : Expansion::Kind::kAdversary;
+    add(e, x + 1, y);
+    add(e, x, y + 1);
+    if (chance) add(e, x + 1, y + 1);
+  }
+
+  /// The value of (x, y) by plain recursion over every line of play,
+  /// without a memo.
+  static Rational value(int x, int y) {
+    if (x == kSide || y == kSide) return payoff(x, y);
+    if ((x + y) % 2 != 0) {
+      return (value(x + 1, y) + value(x, y + 1) + value(x + 1, y + 1)) /
+             Rational(3);
+    }
+    return std::max(value(x + 1, y), value(x, y + 1));
+  }
+
+  /// Makes expand() throw at (at, at).
+  void throw_at(int at) { throw_at_ = at; }
+
+ private:
+  static Rational payoff(int x, int y) {
+    return Rational((5 * x + 3 * y) % 7, 6);
+  }
+  static void add(Expansion& e, int x, int y) {
+    const char s[2] = {static_cast<char>(x), static_cast<char>(y)};
+    e.add(std::string_view(s, 2));
+  }
+
+  int throw_at_ = -1;
+};
+
+TEST(Solver, TranspositionHeavyGameIsSolvedAlikeEveryTime) {
+  const Rational want = GridGame::value(0, 0);
+  for (int run = 0; run < 20; ++run) {
+    SolveStats stats;
+    EXPECT_EQ(solve(GridGame{}, &stats), want) << "run " << run;
+    // Every grid point but the corner (kSide, kSide), which only an
+    // adversary state borders diagonally.
+    EXPECT_EQ(stats.states_visited, 99u) << "run " << run;
+    EXPECT_EQ(stats.expansions, 99u) << "run " << run;
+  }
+}
+
+TEST(Solver, ModelExceptionReachesTheCaller) {
+  GridGame g;
+  g.throw_at(5);
+  EXPECT_THROW((void)solve(g), std::runtime_error);
+  g.throw_at(-1);
+  EXPECT_EQ(solve(g), GridGame::value(0, 0));
+}
+
+TEST(Solver, OneWorkerSolvesAlike) {
+  // A solve runs one worker per CPU in the calling thread's affinity mask;
+  // pinned to one CPU it runs on the calling thread alone.
+  struct Affinity {
+    cpu_set_t all;
+    ~Affinity() { sched_setaffinity(0, sizeof all, &all); }
+  } saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved.all, &saved.all), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved.all)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  SolveStats many_stats;
+  std::vector<StrategyEdge> many_line;
+  const Rational many =
+      solve(AbdPhaseWeakenerGame(1), &many_stats, &many_line, 400);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  SolveStats one_stats;
+  std::vector<StrategyEdge> one_line;
+  const Rational single =
+      solve(AbdPhaseWeakenerGame(1), &one_stats, &one_line, 400);
+  EXPECT_EQ(single, many);
+  EXPECT_EQ(one_stats.states_visited, many_stats.states_visited);
+  EXPECT_EQ(one_stats.expansions, many_stats.expansions);
+  EXPECT_EQ(one_stats.max_depth, 35);  // the serial search's depth
+  ASSERT_EQ(one_line.size(), many_line.size());
+  for (std::size_t i = 0; i < one_line.size(); ++i) {
+    EXPECT_EQ(one_line[i].label, many_line[i].label) << "edge " << i + 1;
+    EXPECT_EQ(one_line[i].value, many_line[i].value) << "edge " << i + 1;
+  }
 }
 
 // States of one model must share one width.
@@ -157,6 +295,18 @@ TEST(AbdPhase, OriginalAbdLosesAlways) {
   EXPECT_EQ(solve(g, &stats), Rational(1));
   EXPECT_EQ(stats.states_visited, 155311u);
   EXPECT_EQ(stats.expansions, 155311u);
+}
+
+TEST(AbdPhase, RepeatedAbd1SolvesCountAlike) {
+  // The workers race for every state; each is still stored, solved and
+  // counted once.
+  for (int run = 0; run < 10; ++run) {
+    SolveStats stats;
+    EXPECT_EQ(solve(AbdPhaseWeakenerGame(1), &stats), Rational(1))
+        << "run " << run;
+    EXPECT_EQ(stats.states_visited, 155311u) << "run " << run;
+    EXPECT_EQ(stats.expansions, 155311u) << "run " << run;
+  }
 }
 
 TEST(AbdPhase, Abd2ValueIsExactlyFiveEighths) {
