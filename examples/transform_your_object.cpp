@@ -96,7 +96,7 @@ int main() {
     std::vector<std::int64_t> reads(3, -1);
     for (Pid pid = 0; pid < 3; ++pid) {
       world.add_process(
-          "p" + std::to_string(pid),
+          std::string("p").append(std::to_string(pid)),
           [&mx, &reads, pid](sim::Proc p) -> sim::Task<void> {
             co_await mx.write_max(p, (pid + 1) * 10);
             reads[static_cast<std::size_t>(pid)] = co_await mx.read_max(p);

@@ -11,7 +11,6 @@ namespace {
 
 const BernoulliEstimator kEmptyTally;
 const RunningStats kEmptyStats;
-const obs::CoverageMap kEmptyCoverage;
 const obs::ProfileSnapshot kEmptyProfile;
 
 }  // namespace
@@ -32,11 +31,6 @@ std::int64_t Accumulator::counter_or(const std::string& name,
   return it == counters_.end() ? fallback : it->second;
 }
 
-const obs::CoverageMap& Accumulator::coverage(const std::string& name) const {
-  const auto it = coverage_.find(name);
-  return it == coverage_.end() ? kEmptyCoverage : it->second;
-}
-
 const obs::ProfileSnapshot& Accumulator::profile(
     const std::string& name) const {
   const auto it = profiles_.find(name);
@@ -47,7 +41,6 @@ void Accumulator::merge(const Accumulator& other) {
   for (const auto& [name, t] : other.tallies_) tallies_[name].merge(t);
   for (const auto& [name, s] : other.stats_) stats_[name].merge(s);
   for (const auto& [name, v] : other.counters_) counters_[name] += v;
-  for (const auto& [name, c] : other.coverage_) coverage_[name].merge(c);
   for (const auto& [name, p] : other.profiles_) profiles_[name].merge(p);
   registry_.merge(other.registry_);
 }
@@ -73,15 +66,10 @@ obs::Json Accumulator::to_json() const {
   }
   obs::JsonObject counters;
   for (const auto& [name, v] : counters_) counters[name] = obs::Json(v);
-  // Coverage sets serialize as sorted fixed-width hex arrays (canonical —
-  // insertion history never leaks into the bytes; uint64 survives exactly).
-  obs::JsonObject coverage;
-  for (const auto& [name, c] : coverage_) coverage[name] = c.to_json();
   obs::JsonObject out;
   out["tallies"] = obs::Json(std::move(tallies));
   out["stats"] = obs::Json(std::move(stats));
   out["counters"] = obs::Json(std::move(counters));
-  out["coverage"] = obs::Json(std::move(coverage));
   // Emitted only when profiling ran, so profile-off dumps carry no key.
   if (!profiles_.empty()) {
     obs::JsonObject profiles;

@@ -14,10 +14,6 @@
 //   counters   — named int64 sums, exact;
 //   registry   — an obs::MetricsSnapshot (counters add, histograms
 //                Chan-merge) for trials that run instrumented worlds.
-//   coverage   — named obs::CoverageMaps (execution-fingerprint sets);
-//                merge is set union, which is order-insensitive, and the
-//                canonical serialization (sorted fixed-width hex) makes the
-//                folded set byte-identical for any thread count.
 //   profiles   — named obs::ProfileSnapshots (per-subsystem phase stats and
 //                exact work counters); merge is element-wise addition. The
 //                calls and counters are exact; the nanosecond timings are
@@ -34,7 +30,6 @@
 #include <string>
 
 #include "common/stats.hpp"
-#include "obs/coverage.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
@@ -48,9 +43,6 @@ class Accumulator {
   RunningStats& stat(const std::string& name) { return stats_[name]; }
   std::int64_t& counter(const std::string& name) { return counters_[name]; }
   obs::MetricsSnapshot& registry() { return registry_; }
-  obs::CoverageMap& coverage(const std::string& name) {
-    return coverage_[name];
-  }
   obs::ProfileSnapshot& profile(const std::string& name) {
     return profiles_[name];
   }
@@ -74,11 +66,6 @@ class Accumulator {
   [[nodiscard]] const std::map<std::string, std::int64_t>& counters() const {
     return counters_;
   }
-  [[nodiscard]] const obs::CoverageMap& coverage(const std::string& name) const;
-  [[nodiscard]] const std::map<std::string, obs::CoverageMap>& coverage_maps()
-      const {
-    return coverage_;
-  }
   [[nodiscard]] const obs::ProfileSnapshot& profile(
       const std::string& name) const;
   [[nodiscard]] const std::map<std::string, obs::ProfileSnapshot>& profiles()
@@ -101,7 +88,6 @@ class Accumulator {
   std::map<std::string, BernoulliEstimator> tallies_;
   std::map<std::string, RunningStats> stats_;
   std::map<std::string, std::int64_t> counters_;
-  std::map<std::string, obs::CoverageMap> coverage_;
   std::map<std::string, obs::ProfileSnapshot> profiles_;
   obs::MetricsSnapshot registry_;
 };

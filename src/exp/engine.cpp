@@ -4,13 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <map>
 #include <mutex>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -42,9 +39,9 @@ struct ShardLayout {
 }
 
 /// One shard, run on whichever worker claimed it. The result depends only on
-/// (experiment, layout, shard index, coverage flag).
+/// (experiment, layout, shard index).
 [[nodiscard]] Accumulator run_shard(const Experiment& e, const ShardLayout& l,
-                                    std::int64_t shard, bool coverage) {
+                                    std::int64_t shard) {
   Accumulator acc;
   const std::int64_t begin = shard * l.shard_size;
   const std::int64_t end = std::min(l.trials, begin + l.shard_size);
@@ -54,34 +51,16 @@ struct ShardLayout {
     ctx.experiment_seed = l.seed;
     ctx.trials = l.trials;
     ctx.seed = derive_seed(e.seed_derivation, l.seed, i);
-    ctx.coverage = coverage;
     e.trial(ctx, acc);
   }
   return acc;
 }
 
-/// The fixed merge tree: left fold in ascending shard index. `growth`, when
-/// non-null, receives the per-key cumulative coverage-growth curve computed
-/// inside the same fold.
+/// The fixed merge tree: left fold in ascending shard index.
 [[nodiscard]] Accumulator fold_shards(
-    std::vector<Accumulator> shard_accs,
-    std::map<std::string, std::vector<std::int64_t>>* growth) {
-  std::set<std::string> keys;
-  if (growth != nullptr) {
-    for (const Accumulator& acc : shard_accs) {
-      for (const auto& [name, m] : acc.coverage_maps()) keys.insert(name);
-    }
-  }
+    const std::vector<Accumulator>& shard_accs) {
   Accumulator merged;
-  for (const Accumulator& acc : shard_accs) {
-    merged.merge(acc);
-    if (growth != nullptr) {
-      for (const std::string& k : keys) {
-        (*growth)[k].push_back(
-            static_cast<std::int64_t>(merged.coverage(k).size()));
-      }
-    }
-  }
+  for (const Accumulator& acc : shard_accs) merged.merge(acc);
   return merged;
 }
 
@@ -93,7 +72,7 @@ struct PassResult {
 /// One full pass over the shard space at `threads` workers, capped by the
 /// shard count.
 [[nodiscard]] PassResult run_pass(const Experiment& e, const ShardLayout& l,
-                                  int threads, bool coverage) {
+                                  int threads) {
   PassResult pass;
   pass.shard_accs.resize(static_cast<std::size_t>(l.num_shards));
 
@@ -103,8 +82,7 @@ struct PassResult {
     for (;;) {
       const std::int64_t s = next_shard.fetch_add(1);
       if (s >= l.num_shards) return;
-      pass.shard_accs[static_cast<std::size_t>(s)] =
-          run_shard(e, l, s, coverage);
+      pass.shard_accs[static_cast<std::size_t>(s)] = run_shard(e, l, s);
     }
   };
 
@@ -148,7 +126,7 @@ RunOutput run_trials(const Experiment& e, const RunOptions& opts) {
         "experiment " + e.name + " has no trial body and takes no trials, "
         "but " + std::to_string(l.trials) + " were requested");
   }
-  PassResult pass = run_pass(e, l, opts.threads, opts.coverage);
+  const PassResult pass = run_pass(e, l, opts.threads);
 
   RunOutput out;
   out.info.trials = l.trials;
@@ -157,9 +135,7 @@ RunOutput run_trials(const Experiment& e, const RunOptions& opts) {
   out.info.shard_size = l.shard_size;
   out.info.shards_total = static_cast<int>(l.num_shards);
   out.info.wall_ms = pass.wall_ms;
-  out.info.coverage = opts.coverage;
-  out.merged = fold_shards(std::move(pass.shard_accs),
-                           opts.coverage ? &out.info.coverage_growth : nullptr);
+  out.merged = fold_shards(pass.shard_accs);
   return out;
 }
 

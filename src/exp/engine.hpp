@@ -42,11 +42,6 @@ struct RunOptions {
   std::uint64_t seed = 0;
   /// 0 = Experiment::default_shard_size, else kDefaultShardSize.
   int shard_size = 0;
-  /// Execution-coverage opt-in: sets TrialContext::coverage so trial bodies
-  /// record fingerprints, and makes the fold compute the shard-indexed
-  /// coverage-growth curve (RunInfo::coverage_growth). Off by default —
-  /// coverage must cost nothing when unused.
-  bool coverage = false;
 };
 
 struct RunOutput {

@@ -68,16 +68,7 @@ void trial(const TrialContext& ctx, Accumulator& acc) {
       make_abd_weakener(s * 1000003 + t, k, kWeakenerNumProcesses,
                         /*metrics=*/false, sim::TraceDetail::kNone);
   sim::UniformAdversary adv(s);
-  sim::RunResult res;
-  if (ctx.coverage) {
-    // Choice-transparent wrapper: the historical (pre-port, bit-compatible)
-    // execution is untouched; only fingerprints are recorded on the side.
-    obs::ScheduleFingerprinter fp(adv);
-    res = inst.world->run(fp);
-    record_coverage(acc, fp, *inst.world);
-  } else {
-    res = inst.world->run(adv);
-  }
+  const sim::RunResult res = inst.world->run(adv);
   BLUNT_ASSERT(res.status == sim::RunStatus::kCompleted,
                "Monte-Carlo trial did not complete: " << to_string(res.status));
   const bool bad = inst.bad();
@@ -170,7 +161,6 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
               run_instrumented_weakener(/*coin_seed=*/0, /*sched_seed=*/0,
                                         /*k=*/std::min(2, max_k))
                   .snapshot);
-  report_coverage(report, acc, info);
   return 0;
 }
 

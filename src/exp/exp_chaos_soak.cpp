@@ -153,10 +153,6 @@ bool lin_ok(const sim::World& w) {
   return certified_linearizable(w, lin::RegisterSpec{});
 }
 
-// The chaos trial bodies take an optional coverage accumulator (`cov`):
-// nullptr runs the exact pre-coverage path; non-null wraps the chaos
-// adversary in the choice-transparent obs::ScheduleFingerprinter and records
-// fingerprints on the side — the run itself is identical either way.
 /// Every plan that reaches an execution passes full structural validation
 /// (FaultPlan::validate) — the generator is quorum-preserving by
 /// construction, and this hard check keeps it honest as knobs evolve.
@@ -167,7 +163,7 @@ fault::FaultPlan validated(fault::FaultPlan plan) {
   return plan;
 }
 
-void abd_trial(std::uint64_t seed, int k, ChaosTotals& t, Accumulator* cov) {
+void abd_trial(std::uint64_t seed, int k, ChaosTotals& t) {
   const fault::FaultPlan plan = validated(fault::random_plan(
       fault::mix64(seed * 2 + static_cast<std::uint64_t>(k)), {}));
   // The soak never reads the trace (lin_ok works off the invocation
@@ -178,14 +174,7 @@ void abd_trial(std::uint64_t seed, int k, ChaosTotals& t, Accumulator* cov) {
                                     sim::TraceDetail::kNone);
   sim::UniformAdversary uniform(fault::mix64(seed) * 7 + 3);
   fault::ChaosAdversary adv(uniform, cw.injector->plan(), cw.injector.get());
-  sim::RunResult res;
-  if (cov != nullptr) {
-    obs::ScheduleFingerprinter fp(adv);
-    res = cw.world->run(fp);
-    record_coverage(*cov, fp, *cw.world);
-  } else {
-    res = cw.world->run(adv);
-  }
+  const sim::RunResult res = cw.world->run(adv);
   ++t.runs;
   t.losses += cw.injector->losses_injected();
   t.duplicates += cw.injector->duplicates_injected();
@@ -220,8 +209,7 @@ fault::FaultPlan crash_only_plan(std::uint64_t seed, int num_processes) {
   return validated(fault::random_plan(seed, opts));
 }
 
-void vitanyi_trial(std::uint64_t seed, int k, ChaosTotals& t,
-                   Accumulator* cov) {
+void vitanyi_trial(std::uint64_t seed, int k, ChaosTotals& t) {
   const fault::FaultPlan plan = crash_only_plan(fault::mix64(seed * 2 + 1), 3);
   auto w = std::make_unique<sim::World>(
       sim::Config{.max_crashes = static_cast<int>(plan.crashes.size()),
@@ -238,14 +226,7 @@ void vitanyi_trial(std::uint64_t seed, int k, ChaosTotals& t,
   }
   sim::UniformAdversary uniform(fault::mix64(seed) * 17 + 7);
   fault::ChaosAdversary adv(uniform, plan);
-  sim::RunResult res;
-  if (cov != nullptr) {
-    obs::ScheduleFingerprinter fp(adv);
-    res = w->run(fp);
-    record_coverage(*cov, fp, *w);
-  } else {
-    res = w->run(adv);
-  }
+  const sim::RunResult res = w->run(adv);
   ++t.runs;
   t.crashes += static_cast<long>(plan.crashes.size());
   if (res.status != sim::RunStatus::kCompleted) return;
@@ -253,8 +234,7 @@ void vitanyi_trial(std::uint64_t seed, int k, ChaosTotals& t,
   if (lin_ok(*w)) ++t.linearizable;
 }
 
-void israeli_li_trial(std::uint64_t seed, int k, ChaosTotals& t,
-                      Accumulator* cov) {
+void israeli_li_trial(std::uint64_t seed, int k, ChaosTotals& t) {
   const fault::FaultPlan plan = crash_only_plan(fault::mix64(seed * 2 + 5), 3);
   auto w = std::make_unique<sim::World>(
       sim::Config{.max_crashes = static_cast<int>(plan.crashes.size()),
@@ -275,14 +255,7 @@ void israeli_li_trial(std::uint64_t seed, int k, ChaosTotals& t,
   });
   sim::UniformAdversary uniform(fault::mix64(seed) * 19 + 9);
   fault::ChaosAdversary adv(uniform, plan);
-  sim::RunResult res;
-  if (cov != nullptr) {
-    obs::ScheduleFingerprinter fp(adv);
-    res = w->run(fp);
-    record_coverage(*cov, fp, *w);
-  } else {
-    res = w->run(adv);
-  }
+  const sim::RunResult res = w->run(adv);
   ++t.runs;
   t.crashes += static_cast<long>(plan.crashes.size());
   if (res.status != sim::RunStatus::kCompleted) return;
@@ -322,21 +295,20 @@ std::int64_t resolve_trials(std::int64_t requested) {
 void trial(const TrialContext& ctx, Accumulator& acc) {
   const ChaosLayout l = layout_from_total(ctx.trials);
   const std::int64_t i = ctx.trial_index;
-  Accumulator* cov = ctx.coverage ? &acc : nullptr;
   ChaosTotals t;
   if (i < l.abd_trials) {
-    abd_trial(static_cast<std::uint64_t>(i), 1, t, cov);
+    abd_trial(static_cast<std::uint64_t>(i), 1, t);
     add_totals(acc, "abd1", t);
   } else if (i < 2 * l.abd_trials) {
-    abd_trial(static_cast<std::uint64_t>(i - l.abd_trials), 2, t, cov);
+    abd_trial(static_cast<std::uint64_t>(i - l.abd_trials), 2, t);
     add_totals(acc, "abd2", t);
   } else if (i < 2 * l.abd_trials + l.shared_mem_trials) {
-    vitanyi_trial(static_cast<std::uint64_t>(i - 2 * l.abd_trials), 2, t, cov);
+    vitanyi_trial(static_cast<std::uint64_t>(i - 2 * l.abd_trials), 2, t);
     add_totals(acc, "vit", t);
   } else {
     israeli_li_trial(
         static_cast<std::uint64_t>(i - 2 * l.abd_trials - l.shared_mem_trials),
-        2, t, cov);
+        2, t);
     add_totals(acc, "il", t);
   }
 }
@@ -511,7 +483,6 @@ int finalize_impl(obs::BenchReport& report, const Accumulator& acc,
     merge_probe(report, cw.world->metrics()->snapshot());
   }
 
-  report_coverage(report, acc, info);
   return all_terminated && all_linearizable && harness_catches_bug ? 0 : 1;
 }
 

@@ -106,11 +106,11 @@ void part2_rounds(obs::BenchReport& report) {
       std::vector<std::shared_ptr<objects::RegisterObject>> rs, cs;
       for (int t = 0; t < t_rounds; ++t) {
         rs.push_back(std::make_shared<objects::AbdRegister>(
-            "R" + std::to_string(t), *world,
+            std::string("R").append(std::to_string(t)), *world,
             objects::AbdRegister::Options{.num_processes = 3,
                                           .preamble_iterations = k}));
         cs.push_back(std::make_shared<objects::AbdRegister>(
-            "C" + std::to_string(t), *world,
+            std::string("C").append(std::to_string(t)), *world,
             objects::AbdRegister::Options{
                 .num_processes = 3,
                 .initial = sim::Value(std::int64_t{-1}),

@@ -14,8 +14,7 @@
 // The trial phase is a random-scheduler Monte Carlo of the weakener over
 // ABD² (SplitMix64-derived seeds, the engine's default derivation): a large
 // embarrassingly-parallel sample whose bad-outcome rate must sit inside the
-// k=2 bound. Its `timings_ms.engine_trials` with and without --coverage is
-// the same-host measure of the coverage layer's cost.
+// k=2 bound.
 #include <cstdio>
 
 #include "common/assert.hpp"
@@ -41,18 +40,6 @@ void trial(const TrialContext& ctx, Accumulator& acc) {
       make_abd_weakener(ctx.seed, kMcK, kWeakenerNumProcesses,
                         /*metrics=*/false, sim::TraceDetail::kNone);
   sim::UniformAdversary adv(splitmix64(ctx.seed));
-  if (ctx.coverage) {
-    // The fingerprinter forwards the inner adversary's choices verbatim, so
-    // the execution (and mc_bad) is identical to the uninstrumented branch.
-    obs::ScheduleFingerprinter fp(adv);
-    const sim::RunResult res = inst.world->run(fp);
-    BLUNT_ASSERT(res.status == sim::RunStatus::kCompleted,
-                 "theorem42_bound MC trial did not complete: "
-                     << to_string(res.status));
-    acc.tally("mc_bad").add(inst.bad());
-    record_coverage(acc, fp, *inst.world);
-    return;
-  }
   const sim::RunResult res = inst.world->run(adv);
   BLUNT_ASSERT(res.status == sim::RunStatus::kCompleted,
                "theorem42_bound MC trial did not complete: "
@@ -61,7 +48,7 @@ void trial(const TrialContext& ctx, Accumulator& acc) {
 }
 
 int finalize(obs::BenchReport& report, const Accumulator& acc,
-             const RunInfo& info) {
+             const RunInfo&) {
   print_header("E5: Theorem 4.2 bound tables");
 
   std::printf("\nadversary-advantage fraction 1 - (max{0,k-r}/k)^(n-1):\n");
@@ -156,7 +143,6 @@ int finalize(obs::BenchReport& report, const Accumulator& acc,
               run_instrumented_weakener(/*coin_seed=*/0, /*sched_seed=*/0,
                                         /*k=*/kMcK)
                   .snapshot);
-  report_coverage(report, acc, info);
   return 0;
 }
 

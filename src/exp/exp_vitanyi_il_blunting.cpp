@@ -129,7 +129,7 @@ void israeli_li_part(obs::BenchReport& report) {
           "R", *w,
           {.num_readers = 2, .writer = 2, .preamble_iterations = k});
       for (Pid pid = 0; pid < 2; ++pid) {
-        w->add_process("r" + std::to_string(pid),
+        w->add_process(std::string("r").append(std::to_string(pid)),
                        [&reg](sim::Proc p) -> sim::Task<void> {
                          (void)co_await reg.read(p);
                          (void)co_await reg.read(p);

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -34,12 +33,6 @@ struct TrialContext {
   /// Structured experiments use it to decode group boundaries from the
   /// index; it is part of the layout, identical for every thread count.
   std::int64_t trials = 0;
-  /// Execution-coverage opt-in (RunOptions::coverage). When set, trial
-  /// bodies that support it wrap their adversary in an
-  /// obs::ScheduleFingerprinter and record fingerprints into the shard
-  /// accumulator's coverage maps; when clear they MUST run the exact
-  /// pre-coverage code path (zero added work on the hot path).
-  bool coverage = false;
 };
 
 /// Engine-facts finalize may want to report (trial counts, wall clocks).
@@ -50,13 +43,6 @@ struct RunInfo {
   int shard_size = 0;
   int shards_total = 0;
   double wall_ms = 0.0;  // trial phase only, at `threads`
-  /// Execution coverage was enabled for this run (RunOptions::coverage).
-  bool coverage = false;
-  /// Per coverage key, the cumulative unique-fingerprint count after folding
-  /// each shard in ascending order — the coverage-growth curve. Computed
-  /// inside the engine's fixed merge tree, so it is bit-identical for any
-  /// thread count (index i = coverage size after shards [0, i]).
-  std::map<std::string, std::vector<std::int64_t>> coverage_growth;
 };
 
 struct Experiment {

@@ -24,9 +24,6 @@ int run_and_report(const Experiment& e, const RunOptions& opts) {
   report.set_environment_int("engine_seed",
                              static_cast<std::int64_t>(out.info.seed));
   report.set_environment_int("engine_shards_total", out.info.shards_total);
-  // Stamped only when on, so coverage-off reports stay byte-identical to
-  // pre-coverage ones (the committed baselines never carry this key).
-  if (out.info.coverage) report.set_environment_int("engine_coverage", 1);
   report.add_timing_ms("engine_trials", out.info.wall_ms);
 
   write_report(report);

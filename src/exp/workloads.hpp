@@ -19,8 +19,6 @@
 #include "lin/history.hpp"
 #include "lin/strong.hpp"
 #include "objects/abd.hpp"
-#include "obs/coverage.hpp"
-#include "obs/fingerprint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/prof_export.hpp"
@@ -120,7 +118,7 @@ inline adversary::McInstance make_abd_weakener(
   auto out = std::make_shared<programs::WeakenerOutcome>();
   programs::install_weakener(*inst.world, *r, *c, *out);
   for (Pid pid = 3; pid < num_processes; ++pid) {
-    inst.world->add_process("s" + std::to_string(pid),
+    inst.world->add_process(std::string("s").append(std::to_string(pid)),
                             [](sim::Proc) -> sim::Task<void> { co_return; });
   }
   inst.bad = [out] { return out->looped(); };
@@ -248,92 +246,6 @@ inline void print_header(const std::string& title) {
 inline void print_rule() {
   std::printf("---------------------------------------------------------------"
               "---------------\n");
-}
-
-// -- Execution-coverage conventions ------------------------------------------
-//
-// Coverage-instrumented trials keep three fingerprint sets per run (see
-// obs/fingerprint.hpp for the hash definitions):
-//
-//   "schedules" — one full-schedule hash per trial (distinct schedules seen),
-//   "ngrams"    — sliding 4-event interleaving-window hashes (local shapes),
-//   "objects"   — per-object invocation-history fingerprints.
-//
-// record_coverage is the one call a trial body makes after a fingerprinted
-// run; report_coverage is the one call finalize makes to publish the merged
-// sets as coverage.* metrics plus the structured report section.
-
-inline constexpr const char* kCoverageSchedules = "schedules";
-inline constexpr const char* kCoverageNgrams = "ngrams";
-inline constexpr const char* kCoverageObjects = "objects";
-
-/// Folds one fingerprinted run into the shard accumulator's coverage maps.
-inline void record_coverage(Accumulator& acc,
-                            const obs::ScheduleFingerprinter& fp,
-                            const sim::World& world) {
-  acc.coverage(kCoverageSchedules).insert(fp.schedule_hash());
-  acc.coverage(kCoverageNgrams).merge(fp.ngrams());
-  obs::CoverageMap& objects = acc.coverage(kCoverageObjects);
-  for (const std::uint64_t h : obs::object_transition_fingerprints(world)) {
-    objects.insert(h);
-  }
-}
-
-/// Publishes merged coverage as report metrics + the structured "coverage"
-/// section, and prints the console summary. No-op when the run was not
-/// coverage-instrumented (keeps coverage-off reports byte-stable).
-///
-/// coverage.new_last_window counts schedule fingerprints first seen in the
-/// last ~10% of shards — the saturation signal: zero means coverage has
-/// plateaued, a positive count means it is still climbing.
-inline void report_coverage(obs::BenchReport& report, const Accumulator& acc,
-                            const RunInfo& info) {
-  if (!info.coverage) return;
-  const std::int64_t schedules =
-      static_cast<std::int64_t>(acc.coverage(kCoverageSchedules).size());
-  const std::int64_t ngrams =
-      static_cast<std::int64_t>(acc.coverage(kCoverageNgrams).size());
-  const std::int64_t objects =
-      static_cast<std::int64_t>(acc.coverage(kCoverageObjects).size());
-  report.set_metric_int("coverage.schedules_unique", schedules);
-  report.set_metric_int("coverage.ngrams_unique", ngrams);
-  report.set_metric_int("coverage.objects_unique", objects);
-
-  std::int64_t new_last_window = 0;
-  std::int64_t window = 0;
-  const auto growth = info.coverage_growth.find(kCoverageSchedules);
-  if (growth != info.coverage_growth.end() && !growth->second.empty()) {
-    const std::vector<std::int64_t>& curve = growth->second;
-    window = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(curve.size()) / 10);
-    const std::size_t base = curve.size() - 1 - static_cast<std::size_t>(
-        std::min<std::int64_t>(window,
-                               static_cast<std::int64_t>(curve.size()) - 1));
-    new_last_window = curve.back() - curve[base];
-  }
-  report.set_metric_int("coverage.new_last_window", new_last_window);
-
-  obs::JsonObject cov;
-  cov["window_shards"] = obs::Json(window);
-  obs::JsonObject growth_obj;
-  for (const auto& [key, curve] : info.coverage_growth) {
-    obs::JsonArray arr;
-    for (const std::int64_t v : curve) arr.emplace_back(v);
-    growth_obj[key] = obs::Json(std::move(arr));
-  }
-  cov["growth"] = obs::Json(std::move(growth_obj));
-  report.set_coverage("fingerprints", obs::Json(std::move(cov)));
-
-  print_header("execution coverage");
-  std::printf("  %-28s %12lld\n", "unique schedules",
-              static_cast<long long>(schedules));
-  std::printf("  %-28s %12lld\n", "unique 4-gram windows",
-              static_cast<long long>(ngrams));
-  std::printf("  %-28s %12lld\n", "unique object histories",
-              static_cast<long long>(objects));
-  std::printf("  %-28s %12lld  (last %lld shard(s))\n", "new schedules",
-              static_cast<long long>(new_last_window),
-              static_cast<long long>(window));
 }
 
 // -- Deterministic-profiling conventions --------------------------------------

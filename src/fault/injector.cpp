@@ -14,7 +14,8 @@ std::string mask_to_string(std::uint32_t mask, int n) {
   for (Pid p = 0; p < n; ++p) {
     std::string& side = ((mask >> p) & 1u) ? a : b;
     if (!side.empty()) side += ",";
-    side += "p" + std::to_string(p);
+    side += 'p';
+    side += std::to_string(p);
   }
   return "{" + a + "}|{" + b + "}";
 }

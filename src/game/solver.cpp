@@ -1,5 +1,6 @@
 #include "game/solver.hpp"
 
+#include <sanitizer/asan_interface.h>
 #include <sched.h>
 #include <sys/mman.h>
 
@@ -82,7 +83,9 @@ struct Stopped {};
 /// loses the swap to an equal key keeps its record for its next insert, so
 /// every state is stored once. A record's key never changes once published;
 /// its value is written once, by the worker that stored the record, before
-/// its flag says kSolved.
+/// its flag says kSolved. A chunk's records are poisoned for
+/// AddressSanitizer until its cursor hands them out, so a read past the
+/// last record stored is reported.
 ///
 /// A slot's home is the top bits of its tag, so growing re-slots every entry
 /// from its tag alone. The table doubles at a gate: once the workers'
@@ -118,6 +121,7 @@ class Memo {
     const std::uint32_t used =
         std::min(next_chunk_.load(std::memory_order_relaxed), kMaxChunks);
     for (std::uint32_t i = 0; i < used; ++i) {
+      ASAN_UNPOISON_MEMORY_REGION(chunks_[i], kChunkRecords * record_bytes_);
       unmap_pages(chunks_[i], kChunkRecords * record_bytes_);
     }
     unmap_pages(chunks_, kMaxChunks * sizeof(unsigned char*));
@@ -144,6 +148,7 @@ class Memo {
         if (!written) {
           if (c.next == c.end) take_chunk(c);
           unsigned char* rec = record(c.next);
+          ASAN_UNPOISON_MEMORY_REGION(rec, record_bytes_);
           std::memcpy(rec, key.data(), key_bytes_);
           rec[key_bytes_] = mark;
           written = true;
@@ -270,6 +275,7 @@ class Memo {
     BLUNT_ASSERT(i < kMaxChunks, "game memo full: " << kMaxChunks
                                                     << " record chunks");
     chunks_[i] = map_pages(kChunkRecords * record_bytes_, true);
+    ASAN_POISON_MEMORY_REGION(chunks_[i], kChunkRecords * record_bytes_);
     c.next = i << kChunkShift;
     c.end = c.next + kChunkRecords;
   }

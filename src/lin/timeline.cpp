@@ -13,20 +13,18 @@ namespace {
 
 // Short operation tag: "W(1)", "R:0", "Scan:[1,2]", "Enq(3)", "Deq:7".
 std::string op_tag(const Operation& op, bool show_values) {
-  std::string tag;
-  if (op.method == "Write") {
-    tag = "W";
-  } else if (op.method == "Read") {
-    tag = "R";
-  } else {
-    tag = op.method;
-  }
+  std::string tag = op.method == "Write"  ? "W"
+                    : op.method == "Read" ? "R"
+                                          : op.method;
   if (show_values) {
     if (!sim::is_bottom(op.argument)) {
-      tag += "(" + sim::to_string(op.argument) + ")";
+      tag += '(';
+      tag += sim::to_string(op.argument);
+      tag += ')';
     }
     if (op.result.has_value() && !sim::is_bottom(*op.result)) {
-      tag += ":" + sim::to_string(*op.result);
+      tag += ':';
+      tag += sim::to_string(*op.result);
     } else if (op.pending()) {
       tag += ":?";
     }
@@ -85,7 +83,9 @@ std::string render_timeline(const History& h, const TimelineOptions& opts) {
       for (int x = a + 1; x < b; ++x) line[static_cast<std::size_t>(x)] = '=';
       line[static_cast<std::size_t>(b)] = op->ret_pos >= 0 ? ']' : '>';
       // Inlay the tag.
-      const std::string tag = " " + op_tag(*op, opts.show_values) + " ";
+      std::string tag = " ";
+      tag += op_tag(*op, opts.show_values);
+      tag += ' ';
       const int span = b - a - 1;
       if (static_cast<int>(tag.size()) <= span) {
         const int start = a + 1 + (span - static_cast<int>(tag.size())) / 2;

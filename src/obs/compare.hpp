@@ -11,8 +11,8 @@
 //   * a leaf whose dump() text differs — so `1` against `1.0` counts, and
 //     so does any changed bit of a double.
 //
-// `timings_ms`, `environment`, `profile` and `coverage` are never compared:
-// they hold wall clocks, provenance and optional instrumentation.
+// `timings_ms`, `environment` and `profile` are never compared: they hold
+// wall clocks, provenance and optional instrumentation.
 //
 // The Theorem 4.2 bound watchdog rides along: a report that declares its
 // blunting instance (`thm42_k`, `thm42_r`, `thm42_n`, `thm42_prob_lin`,

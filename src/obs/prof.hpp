@@ -42,17 +42,16 @@ namespace blunt::obs {
 /// message handlers AND from park-time/wake-hint predicate polls) is
 /// attributed to its dominant site, documented per phase.
 enum class Phase : int {
-  kRun = 0,              // World::run adversary loop (root)
-  kEnabledScan,          //   enabled-event enumeration (scheduler scan)
-  kAdversaryChoice,      //   Adversary::choose
-  kCoverageFingerprint,  //     schedule fingerprinting (coverage layer)
-  kExecute,              //   one chosen event's execution
-  kNetDelivery,          //     message delivery + handler
-  kQuorum,               //       ABD quorum bookkeeping (dominant: handlers)
-  kLinCheck,             // Wing–Gong linearizability check (root)
+  kRun = 0,          // World::run adversary loop (root)
+  kEnabledScan,      //   enabled-event enumeration (scheduler scan)
+  kAdversaryChoice,  //   Adversary::choose
+  kExecute,          //   one chosen event's execution
+  kNetDelivery,      //     message delivery + handler
+  kQuorum,           //       ABD quorum bookkeeping (dominant: handlers)
+  kLinCheck,         // Wing–Gong linearizability check (root)
 };
 
-inline constexpr int kNumPhases = 8;
+inline constexpr int kNumPhases = 7;
 
 [[nodiscard]] constexpr const char* phase_name(Phase p) {
   switch (p) {
@@ -60,7 +59,6 @@ inline constexpr int kNumPhases = 8;
     case Phase::kEnabledScan: return "enabled_scan";
     case Phase::kQuorum: return "quorum";
     case Phase::kAdversaryChoice: return "adversary_choice";
-    case Phase::kCoverageFingerprint: return "coverage_fingerprint";
     case Phase::kExecute: return "execute";
     case Phase::kNetDelivery: return "net_delivery";
     case Phase::kLinCheck: return "lin_check";
@@ -75,8 +73,6 @@ inline constexpr int kNumPhases = 8;
     case Phase::kRun: return -1;
     case Phase::kEnabledScan: return static_cast<int>(Phase::kRun);
     case Phase::kAdversaryChoice: return static_cast<int>(Phase::kRun);
-    case Phase::kCoverageFingerprint:
-      return static_cast<int>(Phase::kAdversaryChoice);
     case Phase::kExecute: return static_cast<int>(Phase::kRun);
     case Phase::kNetDelivery: return static_cast<int>(Phase::kExecute);
     case Phase::kQuorum: return static_cast<int>(Phase::kNetDelivery);
@@ -101,7 +97,6 @@ enum class ProfCounter : int {
   kQuorumTouches,       // ABD quorum bookkeeping probes/inserts
   kMemoProbes,          // Wing–Gong failed-node memo lookups
   kMemoHits,            // ... that hit
-  kFingerprintHashes,   // coverage fingerprint hash updates
   kBytesAllocated,      // operator-new bytes inside the run loop (hooked)
   kAllocCalls,          // operator-new calls inside the run loop (hooked)
   kIndexUpdates,        // mutations applied to the incremental enabled-index
@@ -111,7 +106,7 @@ enum class ProfCounter : int {
                         // polls the pre-overhaul kernel performed)
 };
 
-inline constexpr int kNumCounters = 11;
+inline constexpr int kNumCounters = 10;
 
 [[nodiscard]] constexpr const char* counter_name(ProfCounter c) {
   switch (c) {
@@ -121,7 +116,6 @@ inline constexpr int kNumCounters = 11;
     case ProfCounter::kQuorumTouches: return "quorum_touches";
     case ProfCounter::kMemoProbes: return "memo_probes";
     case ProfCounter::kMemoHits: return "memo_hits";
-    case ProfCounter::kFingerprintHashes: return "fingerprint_hashes";
     case ProfCounter::kBytesAllocated: return "bytes_allocated";
     case ProfCounter::kAllocCalls: return "alloc_calls";
     case ProfCounter::kIndexUpdates: return "index_updates";

@@ -83,10 +83,6 @@ void BenchReport::set_environment_int(const std::string& key,
   environment_[key] = Json(value);
 }
 
-void BenchReport::set_coverage(const std::string& key, Json v) {
-  coverage_[key] = std::move(v);
-}
-
 void BenchReport::set_profile(const std::string& key, Json v) {
   profile_[key] = std::move(v);
 }
@@ -100,9 +96,8 @@ Json BenchReport::to_json() const {
   o["registry"] = snapshot_to_json(registry_);
   o["timings_ms"] = Json(timings_ms_);
   o["environment"] = Json(environment_);
-  // Optional: only coverage-enabled runs carry the section, so pre-coverage
-  // reports, baselines, and their comparisons are untouched.
-  if (!coverage_.empty()) o["coverage"] = Json(coverage_);
+  // Optional: only profiled runs carry the section, so other reports,
+  // baselines, and their comparisons are untouched.
   if (!profile_.empty()) o["profile"] = Json(profile_);
   return Json(std::move(o));
 }
@@ -183,13 +178,8 @@ std::string validate_report_json(const Json& j) {
   if (total == nullptr || !total->is_number()) {
     return "timings_ms missing numeric \"total\"";
   }
-  // "coverage" is optional, but when present it must be an object (the
+  // "profile" is optional, but when present it must be an object (the
   // renderers index into it without re-validating).
-  if (const Json* cov = j.find("coverage");
-      cov != nullptr && !cov->is_object()) {
-    return "section \"coverage\" present but not an object";
-  }
-  // Same for "profile": optional, object when present.
   if (const Json* prof = j.find("profile");
       prof != nullptr && !prof->is_object()) {
     return "section \"profile\" present but not an object";

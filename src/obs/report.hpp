@@ -13,11 +13,9 @@
 //                 report construction to write();
 //   environment — free-form provenance (trial counts, sweep parameters).
 //
-// Plus two optional sections, emitted only by runs that enable them (absent
-// sections keep older reports and baselines schema-valid):
+// Plus one optional section, emitted only by runs that profile (an absent
+// section keeps older reports and baselines schema-valid):
 //
-//   coverage — execution-coverage observability (unique-fingerprint counts,
-//              the shard-indexed growth curve);
 //   profile  — deterministic profiling (per-subsystem phase stats and exact
 //              work counters, keyed by snapshot name).
 //
@@ -64,14 +62,9 @@ class BenchReport {
   void set_environment(const std::string& key, std::string value);
   void set_environment_int(const std::string& key, std::int64_t value);
 
-  /// Execution-coverage observability (optional "coverage" section): counts,
-  /// the shard-indexed growth curve, and any structured payload. The section
-  /// is emitted only if at least one key was set.
-  void set_coverage(const std::string& key, Json v);
-
   /// Deterministic profiling (optional "profile" section): per-subsystem
-  /// phase stats and exact work counters, keyed by snapshot name. Same
-  /// presence discipline as "coverage": emitted only if a key was set.
+  /// phase stats and exact work counters, keyed by snapshot name. The
+  /// section is emitted only if at least one key was set.
   void set_profile(const std::string& key, Json v);
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -88,7 +81,6 @@ class BenchReport {
   JsonObject metrics_;
   JsonObject timings_ms_;
   JsonObject environment_;
-  JsonObject coverage_;
   JsonObject profile_;
   MetricsSnapshot registry_;
 };

@@ -118,8 +118,11 @@ Json chrome_trace_events(const sim::World& w) {
     m["pid"] = Json(0);
     m["tid"] = Json(static_cast<std::int64_t>(pid));
     JsonObject args;
-    args["name"] =
-        Json("p" + std::to_string(pid) + " " + w.process_name(pid));
+    std::string name = "p";
+    name += std::to_string(pid);
+    name += ' ';
+    name += w.process_name(pid);
+    args["name"] = Json(std::move(name));
     m["args"] = Json(std::move(args));
     events.emplace_back(std::move(m));
   }

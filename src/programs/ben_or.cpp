@@ -67,14 +67,15 @@ std::vector<std::shared_ptr<objects::RegisterObject>> install_ben_or(
   regs->reserve(static_cast<std::size_t>(ix.total()));
   for (int r = 0; r < cfg.max_rounds; ++r) {
     for (int i = 0; i < n; ++i) {
-      regs->push_back(make_reg("P" + std::to_string(r) + "_" +
-                               std::to_string(i)));
-      regs->push_back(make_reg("Q" + std::to_string(r) + "_" +
-                               std::to_string(i)));
+      std::string round_pid = std::to_string(r);
+      round_pid += '_';
+      round_pid += std::to_string(i);
+      regs->push_back(make_reg(std::string("P").append(round_pid)));
+      regs->push_back(make_reg(std::string("Q").append(round_pid)));
     }
   }
   for (int i = 0; i < n; ++i) {
-    regs->push_back(make_reg("D" + std::to_string(i)));
+    regs->push_back(make_reg(std::string("D").append(std::to_string(i))));
   }
   BLUNT_ASSERT(static_cast<int>(regs->size()) == ix.total(), "layout bug");
 
@@ -84,7 +85,7 @@ std::vector<std::shared_ptr<objects::RegisterObject>> install_ben_or(
 
   for (int i = 0; i < n; ++i) {
     const Pid pid = w.add_process(
-        "p" + std::to_string(i),
+        std::string("p").append(std::to_string(i)),
         [regs, ix, n, quorum, cfg, i, &out](sim::Proc p) -> sim::Task<void> {
           auto reg = [&](int idx) -> objects::RegisterObject& {
             return *(*regs)[static_cast<std::size_t>(idx)];

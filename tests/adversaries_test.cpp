@@ -19,7 +19,7 @@ using sim::Task;
 std::unique_ptr<sim::World> two_step_world(std::vector<int>* order) {
   auto w = test::make_world();
   for (int id = 0; id < 2; ++id) {
-    w->add_process("p" + std::to_string(id),
+    w->add_process(std::string("p").append(std::to_string(id)),
                    [order, id](Proc p) -> Task<void> {
                      co_await p.yield(StepKind::kLocal, "s");
                      order->push_back(id);

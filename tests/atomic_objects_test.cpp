@@ -66,7 +66,7 @@ TEST(AtomicRegister, ConcurrentSoakIsStronglyLinearizable) {
     auto w = test::make_world(seed);
     AtomicRegister reg("R", *w, sim::Value{});
     for (Pid pid = 0; pid < 3; ++pid) {
-      w->add_process("p" + std::to_string(pid),
+      w->add_process(std::string("p").append(std::to_string(pid)),
                      [&reg, pid](sim::Proc p) -> sim::Task<void> {
                        co_await reg.write(p, v(pid));
                        (void)co_await reg.read(p);
@@ -102,7 +102,7 @@ TEST(AtomicSnapshot, SoakSatisfiesSnapshotSpec) {
     auto w = test::make_world(seed);
     AtomicSnapshot snap("S", *w, 3);
     for (Pid pid = 0; pid < 2; ++pid) {
-      w->add_process("u" + std::to_string(pid),
+      w->add_process(std::string("u").append(std::to_string(pid)),
                      [&snap, pid](sim::Proc p) -> sim::Task<void> {
                        co_await snap.update(p, pid + 1);
                      });

@@ -135,11 +135,11 @@ TEST(Compare, KeyOnlyInCurrentReportIsADifference) {
   BenchReport r("synthetic");
   r.set_metric_int("runs", 8);
   const Json base = r.to_json();
-  r.set_metric_int("coverage.schedules_unique", 5);
+  r.set_metric_int("runs_completed", 5);
   const std::vector<Difference> d = compare_reports(base, r.to_json());
   ASSERT_EQ(d.size(), 1u);
   EXPECT_EQ(to_string(d[0]),
-            "metrics.coverage.schedules_unique: (absent) -> 5");
+            "metrics.runs_completed: (absent) -> 5");
   // ... and in the other direction, a key the report no longer writes.
   ASSERT_EQ(compare_reports(r.to_json(), base).size(), 1u);
   EXPECT_EQ(compare_reports(r.to_json(), base)[0].current, "");
@@ -172,14 +172,13 @@ TEST(Compare, ArrayOfDifferentLengthIsOneDifference) {
   EXPECT_EQ(to_string(d[0]), "metrics.rows: array of 3 -> array of 2");
 }
 
-TEST(Compare, TimingsEnvironmentProfileAndCoverageAreNotCompared) {
+TEST(Compare, TimingsEnvironmentAndProfileAreNotCompared) {
   const auto report = [](int v) {
     BenchReport r("synthetic");
     r.set_metric_int("runs", 8);
     r.add_timing_ms("total", v);
     r.set_environment_int("engine_threads", v);
     r.set_profile("n4", Json(v));
-    r.set_coverage("fingerprints", Json(v));
     return r.to_json();
   };
   EXPECT_TRUE(compare_reports(report(1), report(2)).empty());

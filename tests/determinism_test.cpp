@@ -48,7 +48,7 @@ std::string run_chaos_trace(bool metrics) {
   fault::FaultInjector inj(plan, *w);
   reg.set_fault_layer(&inj);
   for (Pid pid = 0; pid < 3; ++pid) {
-    w->add_process("p" + std::to_string(pid),
+    w->add_process(std::string("p").append(std::to_string(pid)),
                    [&reg, pid](sim::Proc p) -> sim::Task<void> {
                      co_await reg.write(p, sim::Value(std::int64_t{pid}));
                      (void)co_await reg.read(p);

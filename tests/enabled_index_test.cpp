@@ -89,7 +89,7 @@ Outcome run_weakener(int k, int n, std::uint64_t seed, sim::TraceDetail d,
   // exactly as the scaling probe builds its worlds: every ABD server pid
   // must be a World process.
   for (Pid pid = 3; pid < n; ++pid) {
-    w.add_process("s" + std::to_string(pid),
+    w.add_process(std::string("s").append(std::to_string(pid)),
                   [](sim::Proc) -> sim::Task<void> { co_return; });
   }
   sim::UniformAdversary uni(seed * 31 + 7);
@@ -117,7 +117,7 @@ Outcome run_chaos_plan(const fault::FaultPlan& plan, std::uint64_t seed,
   fault::FaultInjector injector(plan, w);
   reg.set_fault_layer(&injector);
   for (Pid pid = 0; pid < plan.num_processes; ++pid) {
-    w.add_process("p" + std::to_string(pid),
+    w.add_process(std::string("p").append(std::to_string(pid)),
                   [&reg, pid](sim::Proc p) -> sim::Task<void> {
                     co_await reg.write(p, sim::Value(std::int64_t{pid + 1}));
                     (void)co_await reg.read(p);
@@ -227,7 +227,7 @@ TEST(EnabledIndex, ViewMatchesRescanElementByElement) {
   programs::WeakenerOutcome out;
   programs::install_weakener(w, r, c, out);
   for (Pid pid = 3; pid < kN; ++pid) {
-    w.add_process("s" + std::to_string(pid),
+    w.add_process(std::string("s").append(std::to_string(pid)),
                   [](sim::Proc) -> sim::Task<void> { co_return; });
   }
   fault::FaultPlan no_crashes;
@@ -257,7 +257,7 @@ TEST(EnabledIndex, ViewMatchesRescanElementByElement) {
                    std::make_unique<sim::SeededCoin>(1));
   fault::FaultInjector injector(plan, small);
   for (Pid pid = 0; pid < 3; ++pid) {
-    small.add_process("p" + std::to_string(pid),
+    small.add_process(std::string("p").append(std::to_string(pid)),
                       [](sim::Proc p) -> sim::Task<void> {
                         co_await p.yield(sim::StepKind::kLocal, "x");
                       });

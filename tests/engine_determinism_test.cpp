@@ -1,8 +1,9 @@
-// The experiment engine's determinism contract (src/exp): merged results are
-// bit-identical for every --threads value and seeds derive purely from
-// (experiment_seed, trial_index). A trial that throws fails the run on the
-// caller's thread. The report path (run_and_report) writes one validated
-// report per run, and a finalize-only experiment refuses a trial count.
+// The experiment engine's determinism contract (src/exp): shard accumulators
+// merge exactly, merged results are bit-identical for every --threads value
+// and seeds derive purely from (experiment_seed, trial_index). A trial that
+// throws fails the run on the caller's thread. The report path
+// (run_and_report) writes one validated report per run, and a finalize-only
+// experiment refuses a trial count.
 // That every builtin experiment's report is thread-count-independent is
 // the baseline gate's to check (baseline_gate_test's ThreadCountIdentity
 // suite runs each experiment with trials at 2 threads against the
@@ -78,6 +79,28 @@ TEST(SeedDerivation, SplitMixMatchesReferenceAndSeparatesTrials) {
     seen.insert(derive_seed(SeedDerivation::kSplitMix64, s, i));
   }
   EXPECT_EQ(seen.size(), 4096u);
+}
+
+TEST(Accumulator, MergesAndRoundTripsThroughJson) {
+  Accumulator a, b;
+  a.tally("hit").add(true);
+  a.tally("hit").add(false);
+  a.counter("n") += 2;
+  b.tally("hit").add(true);
+  b.tally("miss").add(false);
+  b.stat("x").add(0.1);
+  b.counter("n") += 3;
+  a.merge(b);
+  EXPECT_EQ(a.tally("hit").successes(), 2);
+  EXPECT_EQ(a.tally("hit").trials(), 3);
+  EXPECT_EQ(a.tally("miss").trials(), 1);
+  EXPECT_EQ(a.stat("x").count(), 1);
+  EXPECT_EQ(a.counter_or("n"), 5);
+
+  // The merged accumulator survives the JSON text round trip unchanged.
+  const obs::Json j = a.to_json();
+  EXPECT_EQ(obs::Json::parse(j.dump()).dump(), j.dump());
+  EXPECT_EQ(j.at("tallies").at("hit").dump(), R"({"successes":2,"trials":3})");
 }
 
 TEST(Engine, MergedResultBitIdenticalAcrossThreadCounts) {

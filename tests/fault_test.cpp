@@ -179,7 +179,7 @@ TEST(ChaosAdversary, ExecutesExactlyTheScriptedCrashes) {
   FaultInjector inj(plan, w);
   int p0_steps = 0;
   for (Pid pid = 0; pid < 2; ++pid) {
-    w.add_process("p" + std::to_string(pid),
+    w.add_process(std::string("p").append(std::to_string(pid)),
                   [pid, &p0_steps](sim::Proc p) -> sim::Task<void> {
                     for (int i = 0; i < 6; ++i) {
                       co_await p.yield(sim::StepKind::kLocal, "work");
@@ -208,7 +208,7 @@ TEST(ChaosAdversary, SkipsCrashOfFinishedProcess) {
                std::make_unique<sim::SeededCoin>(1));
   FaultInjector inj(plan, w);
   for (Pid pid = 0; pid < 2; ++pid) {
-    w.add_process("p" + std::to_string(pid),
+    w.add_process(std::string("p").append(std::to_string(pid)),
                   [](sim::Proc p) -> sim::Task<void> {
                     co_await p.yield(sim::StepKind::kLocal, "work");
                   });

@@ -144,7 +144,7 @@ Fingerprint run_chaos(sim::TraceDetail d, std::uint64_t seed, int k,
   fault::FaultInjector injector(plan, *w);
   reg.set_fault_layer(&injector);
   for (Pid pid = 0; pid < plan.num_processes; ++pid) {
-    w->add_process("p" + std::to_string(pid),
+    w->add_process(std::string("p").append(std::to_string(pid)),
                    [&reg, pid](sim::Proc p) -> sim::Task<void> {
                      co_await reg.write(p, sim::Value(std::int64_t{pid + 1}));
                      (void)co_await reg.read(p);

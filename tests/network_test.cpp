@@ -178,7 +178,7 @@ TEST(Network, InTransitCountSkipsTombstones) {
   }
   w.attach(net);
   for (Pid pid = 0; pid < 3; ++pid) {
-    w.add_process("p" + std::to_string(pid),
+    w.add_process(std::string("p").append(std::to_string(pid)),
                   [](sim::Proc) -> sim::Task<void> { co_return; });
   }
   std::set<int> live;  // tags == msg ids: no loss, no duplication

@@ -20,7 +20,7 @@ TEST(PreambleAudit, AbdPreamblesAreEffectFree) {
   objects::AbdRegister reg("R", *w,
                            {.num_processes = 3, .preamble_iterations = 2});
   for (Pid pid = 0; pid < 3; ++pid) {
-    w->add_process("p" + std::to_string(pid),
+    w->add_process(std::string("p").append(std::to_string(pid)),
                    [&reg, pid](sim::Proc p) -> sim::Task<void> {
                      co_await reg.write(p, sim::Value(std::int64_t{pid}));
                      (void)co_await reg.read(p);

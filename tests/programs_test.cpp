@@ -43,9 +43,10 @@ TEST(Rounds, CompletesOverAtomicRegisters) {
     std::vector<std::shared_ptr<objects::RegisterObject>> rs, cs;
     for (int t = 0; t < 3; ++t) {
       rs.push_back(std::make_shared<objects::AtomicRegister>(
-          "R" + std::to_string(t), *w, sim::Value{}));
+          std::string("R").append(std::to_string(t)), *w, sim::Value{}));
       cs.push_back(std::make_shared<objects::AtomicRegister>(
-          "C" + std::to_string(t), *w, sim::Value(std::int64_t{-1})));
+          std::string("C").append(std::to_string(t)), *w,
+          sim::Value(std::int64_t{-1})));
     }
     RoundsOutcome out;
     install_round_weakener(*w, rs, cs, out);
@@ -66,11 +67,11 @@ TEST(Rounds, CompletesOverAbdK) {
   std::vector<std::shared_ptr<objects::RegisterObject>> rs, cs;
   for (int t = 0; t < 2; ++t) {
     rs.push_back(std::make_shared<objects::AbdRegister>(
-        "R" + std::to_string(t), *w,
+        std::string("R").append(std::to_string(t)), *w,
         objects::AbdRegister::Options{.num_processes = 3,
                                       .preamble_iterations = 2}));
     cs.push_back(std::make_shared<objects::AbdRegister>(
-        "C" + std::to_string(t), *w,
+        std::string("C").append(std::to_string(t)), *w,
         objects::AbdRegister::Options{
             .num_processes = 3,
             .initial = sim::Value(std::int64_t{-1}),

@@ -72,7 +72,7 @@ AbdWorld make_abd(std::uint64_t coin_seed, objects::AbdBug bug) {
     co_await reg.write(p, sim::Value(std::int64_t{7}));
   });
   for (Pid pid = 1; pid < 3; ++pid) {
-    aw.world->add_process("r" + std::to_string(pid),
+    aw.world->add_process(std::string("r").append(std::to_string(pid)),
                           [&reg](sim::Proc p) -> sim::Task<void> {
                             (void)co_await reg.read(p);
                             (void)co_await reg.read(p);

@@ -65,7 +65,7 @@ ChaosAbd run_chaos_abd(std::uint64_t seed, int k, objects::AbdBug bug) {
   c.reg->set_fault_layer(c.injector.get());
   objects::AbdRegister& reg = *c.reg;
   for (Pid pid = 0; pid < plan.num_processes; ++pid) {
-    c.world->add_process("p" + std::to_string(pid),
+    c.world->add_process(std::string("p").append(std::to_string(pid)),
                          [&reg, pid](sim::Proc p) -> sim::Task<void> {
                            co_await reg.write(
                                p, sim::Value(std::int64_t{pid + 1}));
@@ -188,7 +188,7 @@ SharedMemRun run_chaos_shared_mem(std::uint64_t seed, bool israeli_li) {
         objects::IsraeliLiRegister::Options{
             .num_readers = 2, .writer = 2, .preamble_iterations = 2});
     for (Pid pid = 0; pid < 2; ++pid) {
-      w.add_process("r" + std::to_string(pid),
+      w.add_process(std::string("r").append(std::to_string(pid)),
                     [reg](sim::Proc p) -> sim::Task<void> {
                       (void)co_await reg->read(p);
                       (void)co_await reg->read(p);
@@ -206,7 +206,7 @@ SharedMemRun run_chaos_shared_mem(std::uint64_t seed, bool israeli_li) {
         objects::VitanyiRegister::Options{.num_processes = 3,
                                           .preamble_iterations = 2});
     for (Pid pid = 0; pid < 3; ++pid) {
-      w.add_process("p" + std::to_string(pid),
+      w.add_process(std::string("p").append(std::to_string(pid)),
                     [reg, pid](sim::Proc p) -> sim::Task<void> {
                       co_await reg->write(p, sim::Value(std::int64_t{pid}));
                       (void)co_await reg->read(p);

@@ -23,7 +23,7 @@ std::unique_ptr<sim::World> make_abd_world(bool metrics, std::uint64_t seed,
       objects::AbdRegister::Options{.num_processes = 3,
                                     .preamble_iterations = k});
   for (Pid pid = 0; pid < 3; ++pid) {
-    w->add_process("p" + std::to_string(pid),
+    w->add_process(std::string("p").append(std::to_string(pid)),
                    [reg, pid](sim::Proc p) -> sim::Task<void> {
                      co_await reg->write(p, sim::Value(std::int64_t{pid}));
                      (void)co_await reg->read(p);

@@ -41,7 +41,7 @@ TEST(World, AdversaryControlsInterleaving) {
     auto w = make_world();
     std::vector<int> order;
     for (int id = 0; id < 2; ++id) {
-      w->add_process("p" + std::to_string(id),
+      w->add_process(std::string("p").append(std::to_string(id)),
                      [&order, id](Proc p) -> Task<void> {
                        co_await p.yield(StepKind::kLocal, "x");
                        order.push_back(id);
@@ -224,7 +224,7 @@ TEST(World, UniformAdversaryCompletesManySeeds) {
     auto w = make_world();
     int done = 0;
     for (int i = 0; i < 3; ++i) {
-      w->add_process("p" + std::to_string(i),
+      w->add_process(std::string("p").append(std::to_string(i)),
                      [&done](Proc p) -> Task<void> {
                        for (int s = 0; s < 5; ++s) {
                          co_await p.yield(StepKind::kLocal, "s");

@@ -2,7 +2,7 @@
 //
 //   blunt_exp --list
 //   blunt_exp run <experiment> [--threads N] [--trials N] [--seed S]
-//                 [--shard-size N] [--bench-dir DIR] [--coverage]
+//                 [--shard-size N] [--bench-dir DIR]
 //
 // Runs a registered experiment on the deterministic parallel engine
 // (src/exp): trials shard across a work-stealing pool, per-trial seeds
@@ -10,11 +10,6 @@
 // the report's metrics section — is bit-identical for every --threads value.
 // Reports are the standard schema-v1 BENCH_<name>.json files. A run that
 // was killed is recovered by running it again.
-//
-// --coverage turns on execution-coverage fingerprinting (schedule hashes,
-// interleaving n-grams, object histories — see obs/fingerprint.hpp): the
-// report gains coverage.* metrics and the shard-indexed coverage-growth
-// curve, all bit-identical for every --threads value.
 //
 // Any other flag is refused with exit 2. Wall-clock speed is measured by
 // perfbench/ as a same-host A/B, not by this runner.
@@ -47,7 +42,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --list\n"
       "       %s run <experiment> [--threads N] [--trials N] [--seed S]\n"
-      "           [--shard-size N] [--bench-dir DIR] [--coverage]\n",
+      "           [--shard-size N] [--bench-dir DIR]\n",
       argv0, argv0);
   return 2;
 }
@@ -98,8 +93,6 @@ int main(int argc, char** argv) {
       opts.shard_size = parse_count<int>(flag, value());
     } else if (flag == "--bench-dir") {
       setenv("BLUNT_BENCH_DIR", value(), /*overwrite=*/1);
-    } else if (flag == "--coverage") {
-      opts.coverage = true;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return usage(argv[0]);
